@@ -289,15 +289,30 @@ TARGET_CELLS_PER_NODE = 0.55
 
 
 def _stable_node_count(problem, config, s_raw, h) -> int:
-    """Gauss-Hermite node count needed to keep the level operator stable."""
-    L = config.L
+    """Gauss-Hermite node count needed to keep the level operator stable.
+
+    Logs a warning when the returned count (capped at 64) still leaves the
+    fan wider than the measured stable bound.
+    """
     dt = problem.T / config.N
-    for _ in range(4):
+
+    def fan_cells(L):
         a_max = hermite_rule(L).max_abs_node
-        fan_cells = float(np.max(s_raw * math.sqrt(2.0 * config.k * dt) * a_max / h))
-        if fan_cells <= STABLE_CELLS_PER_NODE * L:
+        return float(np.max(s_raw * math.sqrt(2.0 * config.k * dt) * a_max / h))
+
+    L = config.L
+    for _ in range(4):
+        fan = fan_cells(L)
+        if fan <= STABLE_CELLS_PER_NODE * L:
             return L
-        L = min(64, max(L + 1, math.ceil(fan_cells / TARGET_CELLS_PER_NODE)))
+        L = min(64, max(L + 1, math.ceil(fan / TARGET_CELLS_PER_NODE)))
+    fan = fan_cells(L)
+    if fan > STABLE_CELLS_PER_NODE * L:
+        logger.warning(
+            "%d Gauss-Hermite nodes leave the quadrature fan %.1f cells wide, "
+            "above the measured stable bound %.1f; the sweep may amplify errors",
+            L, fan, STABLE_CELLS_PER_NODE * L,
+        )
     return L
 
 
@@ -492,6 +507,14 @@ class _LevelWorkspace:
         diff = None
         for it in range(self.max_picard):
             y_new = (rhs - np.asarray(self.problem.f(t_n, X, y, Z))) / alpha0
+            finite = np.isfinite(y_new)
+            if not finite.all():
+                bad = np.argwhere(~finite)[0][0]
+                raise PicardDivergenceError(
+                    f"non-finite implicit Y iterate at level {level}, point {X[bad]}",
+                    level=level,
+                    point=X[bad],
+                )
             diff = np.abs(y_new - y)
             y = y_new
             if np.max(diff) <= self.eps0:

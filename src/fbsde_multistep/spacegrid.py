@@ -4,12 +4,14 @@ Grids are conceptually unbounded lattices origin + i*h; an ActiveWindow pins
 down the finite block of multi-indices actually stored at one time level.
 Interpolation is tensor-product Lagrange of degree r per dimension over a
 block of r+1 consecutive grid points, evaluated in barycentric form (stable
-for r up to 15 on equispaced nodes).
+for r up to 15 on equispaced nodes inside the stencil span; extrapolation in
+the half-cell edge band loses accuracy as r grows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -113,10 +115,10 @@ def _stencil_starts(u: np.ndarray, window: ActiveWindow, r: int) -> np.ndarray:
 
 
 def _check_in_domain(u: np.ndarray, window: ActiveWindow):
-    below = u < window.lo - 0.5
-    above = u > window.hi + 0.5
-    if np.any(below) or np.any(above):
-        bad = np.argwhere(below | above)
+    # Written as the negation of "inside" so that NaN coordinates fail too.
+    outside = ~((u >= window.lo - 0.5) & (u <= window.hi + 0.5))
+    if np.any(outside):
+        bad = np.argwhere(outside)
         raise OutOfDomainError(
             f"query point(s) outside the window hull (first offending entry "
             f"{tuple(bad[0])}, grid coordinate {u[tuple(bad[0])]:.6g}, "
@@ -138,20 +140,32 @@ def neighbor_set(spec: GridSpec, window: ActiveWindow, x, r: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+@cache
+def _barycentric_weights(r: int) -> np.ndarray:
+    """Barycentric weights (-1)^i C(r, i) of the integer nodes 0..r, read-only."""
+    w = np.array([(-1.0) ** i * comb(r, i) for i in range(r + 1)])
+    w.flags.writeable = False
+    return w
+
+
 def _barycentric_basis(u: np.ndarray, starts: np.ndarray, r: int) -> np.ndarray:
     """Per-dimension Lagrange basis weights, shape (n, q, r+1).
 
-    Barycentric form on the integer offsets 0..r with weights (-1)^i C(r,i);
-    exact node hits short-circuit to one-hot rows.
+    Barycentric form on the integer offsets 0..r.  A coordinate that hits a
+    node exactly gets a one-hot row instead; it is kept out of the division,
+    whose denominator can vanish there (r = 1 at the right-hand node).
     """
-    offsets = np.arange(r + 1, dtype=float)
-    w = np.array([(-1.0) ** i * comb(r, i) for i in range(r + 1)])
-    t = u - starts
-    diff = t[..., None] - offsets
-    hit = diff == 0.0
-    ratio = w / np.where(hit, 1.0, diff)
+    t = u - starts  # in [-0.5, r + 0.5], so an integral t is a node 0..r
+    hits = np.nonzero(t == np.rint(t))
+    if hits[0].size:
+        node = t[hits].astype(np.int64)
+        t[hits] = 0.5  # placeholder off the nodes; these rows are reset below
+    ratio = _barycentric_weights(r) / (t[..., None] - np.arange(r + 1, dtype=float))
     basis = ratio / np.sum(ratio, axis=-1, keepdims=True)
-    return np.where(hit.any(axis=-1, keepdims=True), hit.astype(float), basis)
+    if hits[0].size:
+        basis[hits] = 0.0
+        basis[hits + (node,)] = 1.0
+    return basis
 
 
 def interpolate_values(
@@ -166,6 +180,9 @@ def interpolate_values(
     ``values`` has shape (*window.extents, *trailing); ``points`` is
     (n, q).  Returns (n, *trailing).  Reproduces polynomials of coordinate
     degree <= r per dimension exactly.
+
+    Each query reads its (r+1)^q stencil as one flat gather per trailing
+    column, contracted against the tensor-product basis weights.
     """
     if r < 1:
         raise ValueError(f"interpolation degree r must be >= 1, got {r}")
@@ -183,23 +200,27 @@ def interpolate_values(
     q = spec.q
     ext = window.extents
     trailing = values.shape[q:]
-    flat_values = values.reshape(np.prod(ext, dtype=int), -1)
-
     strides = np.ones(q, dtype=np.int64)
     for dim in range(q - 2, -1, -1):
         strides[dim] = strides[dim + 1] * ext[dim + 1]
-    offsets = np.arange(r + 1, dtype=np.int64)
-    flat_idx = np.zeros((n,) + (1,) * q, dtype=np.int64)
-    for dim in range(q):
-        idx = (starts[:, dim] - window.lo[dim])[:, None] + offsets
-        shape = (n,) + (1,) * dim + (r + 1,) + (1,) * (q - 1 - dim)
-        flat_idx = flat_idx + idx.reshape(shape) * strides[dim]
 
-    block = flat_values[flat_idx]  # (n, r+1, ..., r+1, T)
-    for dim in range(q - 1, -1, -1):
-        b = basis[:, dim, :].reshape((n,) + (1,) * dim + (r + 1, 1))
-        block = np.sum(block * b, axis=dim + 1)
-    return block.reshape((n,) + trailing)
+    # Tensor-product stencil: flat offsets and weights, last dimension fastest.
+    offsets = np.arange(r + 1, dtype=np.int64)
+    stencil = offsets * strides[0]
+    weights = basis[:, 0, :]
+    for dim in range(1, q):
+        stencil = (stencil[:, None] + offsets * strides[dim]).ravel()
+        weights = np.einsum("ns,nj->nsj", weights, basis[:, dim]).reshape(n, -1)
+    flat_idx = ((starts - window.lo) @ strides)[:, None] + stencil
+
+    # np.sum rather than einsum: its summation order leaves one-column 1-d
+    # results bitwise equal to a plain stencil sum, so coupled outer loops,
+    # whose exits compare residuals with eps0, take the same passes.
+    columns = values.reshape(np.prod(ext, dtype=int), -1).T
+    out = np.empty((n, columns.shape[0]))
+    for c, column in enumerate(columns):
+        out[:, c] = np.sum(weights * column[flat_idx], axis=1)
+    return out.reshape((n,) + trailing)
 
 
 def interpolate(field, spec: GridSpec, x, r: int, window: ActiveWindow | None = None):

@@ -1,5 +1,6 @@
 """Backward sweep: discretization policy, terminal seeding, and end-to-end runs."""
 
+import dataclasses
 import math
 import os
 
@@ -9,6 +10,7 @@ import pytest
 from fbsde_multistep import (
     ConfigError,
     FbsdeProblem,
+    PicardDivergenceError,
     SolverConfig,
     init_terminal,
     registry_get,
@@ -254,3 +256,46 @@ def test_kink_warning_when_seed_levels_are_under_resolved(caplog):
 def test_kink_warning_silent_for_smooth_terminal_functions(caplog):
     for name in ("ex51", "ex54a"):
         assert _kink_warnings(caplog, registry_get(name), SolverConfig(k=2, N=16)) == []
+
+
+def test_non_finite_f_fails_fast():
+    calls = []
+
+    def f(t, X, Y, Z):
+        calls.append(X[len(X) // 2].copy())
+        out = np.array(EX51.f(t, X, Y, Z), dtype=float)
+        out[len(X) // 2] = np.nan
+        return out
+
+    config = SolverConfig(k=2, N=16)
+    with pytest.raises(PicardDivergenceError) as info:
+        solve(dataclasses.replace(EX51, f=f), config)
+    assert len(calls) <= 2
+    assert info.value.level == config.N - config.k - 1
+    np.testing.assert_array_equal(info.value.point, calls[-1])
+
+
+def _node_count(caplog, problem, config):
+    from fbsde_multistep.quadrature import hermite_rule
+    from fbsde_multistep.solver import _coefficient_bounds, _stable_node_count
+    from fbsde_multistep.spacegrid import GridSpec
+
+    h, _ = resolve_discretization(config, problem)
+    spec = GridSpec(q=problem.q, h=h, origin=problem.x0)
+    raw, _ = _coefficient_bounds(
+        problem, hermite_rule(config.L), config.eps0, config.max_picard
+    )
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
+        L = _stable_node_count(problem, config, raw[1], spec.h)
+    return L, [rec for rec in caplog.records if rec.levelname == "WARNING"]
+
+
+def test_node_count_cap_warns_when_fan_stays_wide(caplog):
+    # k=6, N=64: the fan needs more than the 64-node cap (64.2 cells > 0.85 * 64)
+    L, warned = _node_count(caplog, EX51, SolverConfig(k=6, N=64))
+    assert L == 64
+    assert len(warned) == 1
+    L, warned = _node_count(caplog, EX51, SolverConfig(k=3, N=64))
+    assert L < 64
+    assert warned == []

@@ -1,5 +1,10 @@
 """Grid windows, stencil selection, and Lagrange interpolation."""
 
+import itertools
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -56,6 +61,18 @@ def test_neighbor_set_out_of_domain():
         neighbor_set(spec1d(), window, [0.7], r=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_queries_out_of_domain(bad):
+    spec = GridSpec(q=2, h=[0.1, 0.2], origin=[0.0, 0.0])
+    window = ActiveWindow(lo=[-5, -5], hi=[5, 5])
+    values = np.zeros(window.extents)
+    points = np.array([[0.0, 0.0], [0.1, bad]])
+    with pytest.raises(OutOfDomainError):
+        interpolate_values(values, window, spec, points, r=2)
+    with pytest.raises(OutOfDomainError):
+        neighbor_set(spec, window, points[1], r=2)
+
+
 def test_neighbor_set_requires_positive_degree():
     window = ActiveWindow(lo=[-5], hi=[5])
     with pytest.raises(ValueError):
@@ -99,6 +116,21 @@ def test_grid_point_queries_return_stored_values():
     pts = grid_points(spec, window)
     out = interpolate_values(values, window, spec, pts, r=4)
     np.testing.assert_allclose(out, values.ravel(), atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 6])
+def test_grid_node_queries_raise_no_warning(r):
+    # Dyadic spacings keep the grid coordinates of the nodes exact integers.
+    rng = np.random.default_rng(r)
+    for spec, window in [
+        (spec1d(h=0.25), ActiveWindow(lo=[-8], hi=[8])),
+        (GridSpec(q=2, h=[0.25, 0.5], origin=[0.0, 0.0]), ActiveWindow(lo=[-7, -6], hi=[6, 7])),
+    ]:
+        values = rng.normal(size=window.extents + (2,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = interpolate_values(values, window, spec, grid_points(spec, window), r)
+        np.testing.assert_array_equal(out, values.reshape(-1, 2))
 
 
 def test_cubic_reproduces_cubic_polynomial():
@@ -189,3 +221,64 @@ def test_window_validation():
         ActiveWindow(lo=[3], hi=[1])
     with pytest.raises(ValueError):
         GridSpec(q=1, h=0.0, origin=[0.0])
+
+
+def _lagrange_fractions(u, nodes):
+    """Exact 1-d Lagrange basis l_i(u) on the given integer nodes."""
+    return [
+        math.prod((Fraction(u) - b) / (a - b) for b in nodes if b != a) for a in nodes
+    ]
+
+
+# Kernel rounding bound per probe and column: KERNEL_ROUNDING * eps *
+# sum_i |l_i(x)| |v_i|, the Lebesgue-weighted data of the probe's stencil
+# (Berrut & Trefethen, SIAM Review 2004).  The multiple measures at most 1.7
+# for r <= 6 and 48 for r = 10, the latter at the outer limit of the half-cell
+# edge band, where the barycentric denominator sum cancels; a wrong stencil or
+# weight errs by O(|v|), far above it.  r = 15 is left out: its extrapolation
+# there exceeds 2e3 times the floor.
+KERNEL_ROUNDING = 64
+
+
+def _probe_coordinates(lo, hi, rng):
+    """Grid coordinates, per dimension, of the probes of the reference test.
+
+    Exact nodes, half-cell points (the stencil tie for even and, at the
+    nodes, for odd r), both half-cell edge bands including their outer
+    limits, and interior points; all dyadic, so x = origin + h*u is exact.
+    """
+    return [
+        float(lo), float(hi), lo + 1.0, (lo + hi) // 2 + 0.5, hi - 1.5,
+        lo - 0.5, lo - 0.125, hi + 0.25, hi + 0.5,
+        *(rng.integers(lo * 1024, hi * 1024, size=3) / 1024.0),
+    ]
+
+
+@pytest.mark.parametrize("trailing", [(), (2,), (2, 1), (2, 3)])
+@pytest.mark.parametrize("r", [1, 3, 6, 10])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_kernel_matches_exact_lagrange_reference(q, r, trailing):
+    rng = np.random.default_rng(1000 * q + 10 * r + len(trailing))
+    spec = GridSpec(q=q, h=[0.5, 0.25, 0.125][:q], origin=[0.75, -1.5, 2.0][:q])
+    window = ActiveWindow(lo=[-3] * q, hi=[r] * q)
+    values = rng.normal(size=window.extents + trailing) * 10.0 ** rng.integers(-3, 4)
+    coords = _probe_coordinates(-3, r, rng)
+    u = np.array([rng.permutation(coords) for _ in range(q)]).T
+    points = spec.origin + spec.h * u
+    np.testing.assert_array_equal(spec.to_grid_coords(points), u)
+    out = interpolate_values(values, window, spec, points, r=r)
+    assert out.shape == (len(points),) + trailing
+
+    columns = values.reshape(window.extents + (-1,))
+    eps = np.finfo(float).eps
+    for x, ux, got in zip(points, u, out.reshape(len(points), -1)):
+        stencil = neighbor_set(spec, window, x, r)
+        axes = [np.unique(stencil[:, dim]) for dim in range(q)]
+        ell = [_lagrange_fractions(ux[dim], axes[dim].tolist()) for dim in range(q)]
+        weights = [math.prod(ws) for ws in itertools.product(*ell)]
+        data = columns[tuple((stencil - window.lo).T)]  # (stencil, columns)
+        for col in range(data.shape[1]):
+            v = [Fraction(float(d)) for d in data[:, col]]
+            exact = float(sum(w * d for w, d in zip(weights, v)))
+            floor = eps * float(sum(abs(w) * abs(d) for w, d in zip(weights, v)))
+            assert abs(got[col] - exact) <= KERNEL_ROUNDING * floor
