@@ -36,7 +36,6 @@ from .solver import (
     PicardStats,
     SolverConfig,
     SolveResult,
-    SweepState,
     init_terminal,
     resolve_discretization,
     solve,
@@ -69,7 +68,6 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "StabilityReport",
-    "SweepState",
     "TensorRule",
     "UnknownProblemError",
     "ValueField",

@@ -8,8 +8,10 @@ Each backward level solves, at every grid point x, the pair
 with Euler predictors X^{n,j} = x + b j dt + sigma dW_{n,j}, expectations by
 Gauss-Hermite quadrature, and history levels read through local Lagrange
 interpolation.  Y^n is implicit and resolved by fixed-point (Picard)
-iteration; coupled problems wrap the whole update in an outer Picard loop
-that re-evaluates b and sigma at the current (Y, Z) iterate.
+iteration.  The whole update sits in an outer Picard loop that re-evaluates
+b and sigma at the current (Y, Z) iterate; a decoupled problem's b and sigma
+do not read (Y, Z), so its outer map is constant and one pass is the fixed
+point.
 
 All per-point work is vectorized over the level's grid, so a level is one
 batch of numpy operations; results are bit-reproducible run to run and do
@@ -22,12 +24,12 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .multistep import MultistepCoeffs, compute_coeffs, stability_report
+from .multistep import compute_coeffs, stability_report
 from .problems import FbsdeProblem
 from .quadrature import GaussHermiteRule, expect_gaussian, hermite_rule
 from .spacegrid import ActiveWindow, GridSpec, ValueField, grid_points, interpolate_values
@@ -122,25 +124,6 @@ class SolveResult:
     err_z: Optional[np.ndarray]
     picard_stats: PicardStats
     runtime: float
-
-
-class SweepState:
-    """Ring buffer of the k most recent frozen fields (levels n+1 .. n+k)."""
-
-    def __init__(self, k: int, fields: dict[int, ValueField]):
-        if len(fields) != k:
-            raise ValueError(f"expected exactly {k} seed fields, got {len(fields)}")
-        self.k = k
-        self._fields = dict(fields)
-
-    def field(self, level: int) -> ValueField:
-        return self._fields[level]
-
-    def advance(self, new_field: ValueField):
-        """Drop the oldest level and insert the newly completed one."""
-        drop = new_field.level + self.k
-        self._fields.pop(drop, None)
-        self._fields[new_field.level] = new_field
 
 
 def _default_degree(k: int) -> int:
@@ -376,46 +359,45 @@ class _BroydenState:
         return v - step * factor[:, None]
 
 
-def _restrict(field: ValueField, window: ActiveWindow):
-    """Views of a field's arrays on a contained sub-window, flattened to points."""
-    if not field.window.contains(window):
-        raise RuntimeError(
-            f"window sizing bug: level {field.level} does not cover the requested window"
-        )
-    offset = window.lo - field.window.lo
+def _field(problem, window, level, Y, Z) -> ValueField:
+    """Freeze per-point (Y, Z) rows as the field of one level on the window."""
     ext = window.extents
-    slices = tuple(slice(int(o), int(o + e)) for o, e in zip(offset, ext))
-    n = int(np.prod(ext))
-    y = field.y_values[slices].reshape(n, -1)
-    z = field.z_values[slices].reshape(n, y.shape[1], -1)
-    return y, z
-
-
-def _hull(spec: GridSpec, window: ActiveWindow):
-    return spec.origin + spec.h * window.lo, spec.origin + spec.h * window.hi
+    return ValueField(
+        window=window,
+        y_values=np.asarray(Y, dtype=float).reshape(ext + (problem.p,)),
+        z_values=np.asarray(Z, dtype=float).reshape(ext + (problem.p, problem.d)),
+        level=level,
+    )
 
 
 class _LevelWorkspace:
-    """Shared arrays and counters for one backward sweep."""
+    """The static window, its grid points and hull, and counters for one sweep."""
 
-    def __init__(
-        self, problem, spec, rule, coeffs, r, eps0, max_picard, max_outer=6,
-        band_exact=False,
-    ):
+    def __init__(self, problem, spec, window, rule, coeffs, r, config, band_exact=False):
         self.problem = problem
         self.spec = spec
+        self.window = window
+        self.X = grid_points(spec, window)
+        self.lo = spec.origin + spec.h * window.lo
+        self.hi = spec.origin + spec.h * window.hi
         self.rule = rule
-        self.scaled = np.array([float(a) for a in coeffs.scaled_alphas])
+        self.coeffs = coeffs
         self.k = coeffs.k
         self.r = r
-        self.eps0 = eps0
-        self.max_picard = max_picard
-        self.max_outer = max_outer
-        self.band_exact = band_exact and problem.exact_y is not None
+        self.eps0 = config.eps0
+        self.max_picard = config.max_picard
+        self.max_outer = config.max_outer if problem.coupled else 1
+        self.band_exact = band_exact
         self.picard_counts: list[int] = []
+        self.unconverged: list[float] = []  # residuals accepted at or above eps0
         self._broyden = None
 
-    def _band_values(self, t_n, X, unsafe, y_next, z_next):
+    def _rows(self, field: ValueField):
+        """A history field's (Y, Z) as per-point rows (every field shares the window)."""
+        n = self.X.shape[0]
+        return field.y_values.reshape(n, -1), field.z_values.reshape(n, self.problem.p, -1)
+
+    def _band_values(self, t_n, unsafe, y_next, z_next):
         """Far-field values for the edge band.
 
         With exact seeding the band tracks the exact solution, acting as an
@@ -424,17 +406,14 @@ class _LevelWorkspace:
         is non-amplifying but goes stale for long horizons.
         """
         if self.band_exact:
-            Xb = X[unsafe]
+            Xb = self.X[unsafe]
             return (
                 np.asarray(self.problem.exact_y(t_n, Xb), dtype=float),
                 np.asarray(self.problem.exact_z(t_n, Xb), dtype=float),
             )
         return y_next[unsafe], z_next[unsafe]
 
-    def alphas(self, dt: float) -> np.ndarray:
-        return self.scaled / dt
-
-    def _safe_mask(self, dt, window, X, b_n, sig_n, target: ValueField):
+    def _safe_mask(self, dt, b_n, sig_n):
         """Points whose whole quadrature fan stays inside the j=1 hull.
 
         Points failing this (an edge band several envelope standard
@@ -444,14 +423,14 @@ class _LevelWorkspace:
         level over level.  The mask also guards the stencil block around the
         grid center, which must always be scheme-computed.
         """
+        X = self.X
         reach = np.abs(b_n) * (self.k * dt) + np.abs(sig_n).sum(axis=2) * (
             math.sqrt(2.0 * self.k * dt) * self.rule.max_abs_node
         )
-        lo, hi = _hull(self.spec, target.window)
-        safe = np.all((X - reach >= lo) & (X + reach <= hi), axis=1)
-        center = safe.reshape(window.extents)
+        safe = np.all((X - reach >= self.lo) & (X + reach <= self.hi), axis=1)
+        center = safe.reshape(self.window.extents)
         sl = tuple(
-            slice(int(-l - self.r - 1), int(-l + self.r + 2)) for l in window.lo
+            slice(int(-l - self.r - 1), int(-l + self.r + 2)) for l in self.window.lo
         )
         if not bool(np.all(center[sl])):
             raise RuntimeError(
@@ -460,7 +439,7 @@ class _LevelWorkspace:
             )
         return safe
 
-    def _expectations(self, t_n, dt, X, b_n, sig_n, history):
+    def _expectations(self, dt, b_n, sig_n, history):
         """E[Y^{n+j}] and E[Y^{n+j} dW^T] for j = 1..k via Gauss-Hermite.
 
         One quadrature pass per j computes both: the integrand packs the
@@ -468,6 +447,7 @@ class _LevelWorkspace:
         node scaling.
         """
         problem = self.problem
+        X, lo, hi = self.X, self.lo, self.hi
         n = X.shape[0]
         p, d = problem.p, problem.d
         EY = np.empty((self.k, n, p))
@@ -476,10 +456,9 @@ class _LevelWorkspace:
             dtj = j * dt
             base = X + b_n * dtj
             fld = history[j]
-            lo, hi = _hull(self.spec, fld.window)
             sqrt_dtj = math.sqrt(dtj)
 
-            def integrand(v, base=base, fld=fld, lo=lo, hi=hi, sqrt_dtj=sqrt_dtj):
+            def integrand(v, base=base, fld=fld, sqrt_dtj=sqrt_dtj):
                 dW = sqrt_dtj * v  # v = sqrt(2) * node, so dW = sqrt(2 j dt) * node
                 Xq = base + np.einsum("nqd,d->nq", sig_n, dW)
                 # Queries escaping the stored hull are deep-tail events (node
@@ -526,66 +505,47 @@ class _LevelWorkspace:
             point=X[worst[0]],
         )
 
-    def step_decoupled(self, level, t_n, dt, window, history):
-        X = grid_points(self.spec, window)
-        y_prev, z_prev = _restrict(history[1], window)
-        b_n = np.asarray(self.problem.b(t_n, X, y_prev, z_prev), dtype=float)
-        sig_n = np.asarray(self.problem.sigma(t_n, X, y_prev, z_prev), dtype=float)
-        safe = self._safe_mask(dt, window, X, b_n, sig_n, history[1])
-        EY, EYW = self._expectations(t_n, dt, X, b_n, sig_n, history)
-        alpha = self.alphas(dt)
-        Z = np.einsum("j,jnpd->npd", alpha[1:], EYW)
-        rhs = -np.einsum("j,jnp->np", alpha[1:], EY)
-        Y, iters = self._implicit_y(t_n, X, rhs, Z, y_prev, alpha[0], level)
-        unsafe = ~safe
-        Y[unsafe], Z[unsafe] = self._band_values(t_n, X, unsafe, y_prev, z_prev)
-        self.picard_counts.append(iters)
-        return self._freeze(level, window, Y, Z)
-
-    def step_coupled(self, level, t_n, dt, window, history):
-        """Outer iteration rebuilding the forward predictors each pass.
+    def step(self, level, t_n, dt, history):
+        """One backward level: outer passes rebuilding the forward predictors.
 
         Each pass evaluates the Scheme-5 update (Euler predictors at the
-        current (Y, Z) iterate, explicit Z, implicit Y) and feeds it to a
-        per-point Broyden accelerator; iterates stop on
-        max(|dY|, |dZ|) < eps0 exactly as the plain loop would, but reach it
-        in a handful of coefficient rebuilds even where the plain contraction
-        is slow.
+        current (Y, Z) iterate, explicit Z, implicit Y).  A decoupled problem
+        gets one pass, since its predictors do not depend on the iterate.  A
+        coupled one feeds each image to a per-point Broyden accelerator;
+        iterates stop on max(|dY|, |dZ|) < eps0 exactly as the plain loop
+        would, but reach it in a handful of coefficient rebuilds even where
+        the plain contraction is slow.  ``history[j]`` is the field of level
+        ``level + j``.
         """
-        X = grid_points(self.spec, window)
-        y_next, z_next = _restrict(history[1], window)
+        problem, X = self.problem, self.X
         n = X.shape[0]
-        p, d = self.problem.p, self.problem.d
+        p, d = problem.p, problem.d
+        y_next, z_next = self._rows(history[1])
         # The Picard limit does not depend on the start, only the count does:
         # a linear-in-time extrapolation of the two newest levels beats the
         # plain warm start by one order in dt.
         if self.k >= 2:
-            y_far, z_far = _restrict(history[2], window)
+            y_far, z_far = self._rows(history[2])
             y_cur = 2.0 * y_next - y_far
             z_cur = 2.0 * z_next - z_far
         else:
-            y_cur = y_next.copy()
-            z_cur = z_next.copy()
-        alpha = self.alphas(dt)
-        if self._broyden is None or self._broyden.inv_jac.shape[0] != n:
-            self._broyden = _BroydenState(n, p + p * d)
-        else:
+            y_cur, z_cur = y_next, z_next
+        alpha = self.coeffs.alphas(dt)
+        if self._broyden is not None:
             self._broyden.new_level()
-        broyden = self._broyden
-        safe = unsafe = band_y = band_z = None
+        unsafe = band_y = band_z = None
         y_diff = None
         first_delta = None
         for outer in range(self.max_outer):
-            b_n = np.asarray(self.problem.b(t_n, X, y_cur, z_cur), dtype=float)
-            sig_n = np.asarray(self.problem.sigma(t_n, X, y_cur, z_cur), dtype=float)
-            if safe is None:
-                safe = self._safe_mask(dt, window, X, b_n, sig_n, history[1])
-                unsafe = ~safe
-                band_y, band_z = self._band_values(t_n, X, unsafe, y_next, z_next)
-            EY, EYW = self._expectations(t_n, dt, X, b_n, sig_n, history)
+            b_n = np.asarray(problem.b(t_n, X, y_cur, z_cur), dtype=float)
+            sig_n = np.asarray(problem.sigma(t_n, X, y_cur, z_cur), dtype=float)
+            if unsafe is None:
+                unsafe = ~self._safe_mask(dt, b_n, sig_n)
+                band_y, band_z = self._band_values(t_n, unsafe, y_next, z_next)
+            EY, EYW = self._expectations(dt, b_n, sig_n, history)
             gz = np.einsum("j,jnpd->npd", alpha[1:], EYW)
             rhs = -np.einsum("j,jnp->np", alpha[1:], EY)
-            gy, _ = self._implicit_y(t_n, X, rhs, gz, y_cur, alpha[0], level)
+            gy, iters = self._implicit_y(t_n, X, rhs, gz, y_cur, alpha[0], level)
             gy[unsafe] = band_y
             gz[unsafe] = band_z
             # For plain iteration |v_{l+1} - v_l| equals the residual
@@ -598,11 +558,18 @@ class _LevelWorkspace:
             if delta < self.eps0 or outer + 1 == self.max_outer:
                 if delta > max(first_delta, self.eps0):
                     break  # residual grew: report divergence below
-                self.picard_counts.append(outer + 1)
-                return self._freeze(level, window, gy, gz)
+                if problem.coupled:
+                    self.picard_counts.append(outer + 1)
+                    if delta >= self.eps0:
+                        self.unconverged.append(delta)
+                else:
+                    self.picard_counts.append(iters)
+                return _field(problem, self.window, level, gy, gz)
+            if self._broyden is None:
+                self._broyden = _BroydenState(n, p + p * d)
             packed_v = np.concatenate([y_cur, z_cur.reshape(n, p * d)], axis=1)
             packed_g = np.concatenate([gy, gz.reshape(n, p * d)], axis=1)
-            packed_new = broyden.step(packed_v, packed_g)
+            packed_new = self._broyden.step(packed_v, packed_g)
             y_cur = packed_new[:, :p].copy()
             z_cur = packed_new[:, p:].reshape(n, p, d).copy()
             y_cur[unsafe] = band_y
@@ -614,70 +581,26 @@ class _LevelWorkspace:
             point=X[worst[0]],
         )
 
-    def step(self, level, t_n, dt, window, history):
-        if self.problem.coupled:
-            return self.step_coupled(level, t_n, dt, window, history)
-        return self.step_decoupled(level, t_n, dt, window, history)
 
-    def _freeze(self, level, window, Y, Z):
-        ext = window.extents
-        p, d = self.problem.p, self.problem.d
-        return ValueField(
-            window=window,
-            y_values=Y.reshape(ext + (p,)),
-            z_values=Z.reshape(ext + (p, d)),
-            level=level,
-        )
-
-
-def _terminal_field(problem, spec, window, level, eps0, cap) -> ValueField:
-    X = grid_points(spec, window)
-    Y, Z = _terminal_yz_probe(problem, X, eps0, cap)
-    ext = window.extents
-    return ValueField(
-        window=window,
-        y_values=np.asarray(Y).reshape(ext + (problem.p,)),
-        z_values=np.asarray(Z).reshape(ext + (problem.p, problem.d)),
-        level=level,
-    )
-
-
-def _exact_field(problem, spec, window, level, t) -> ValueField:
-    X = grid_points(spec, window)
-    Y = np.asarray(problem.exact_y(t, X), dtype=float)
-    Z = np.asarray(problem.exact_z(t, X), dtype=float)
-    ext = window.extents
-    return ValueField(
-        window=window,
-        y_values=Y.reshape(ext + (problem.p,)),
-        z_values=Z.reshape(ext + (problem.p, problem.d)),
-        level=level,
-    )
-
-
-def _bootstrap_field(problem, spec, config, rule, bounds, window, level, t_level, r):
+def _bootstrap_field(problem, spec, config, rule, window, terminal, level, r):
     """Fill one seed level by a fine k=1 solve of [t_level, T].
 
     The sub-partition has M = min(cap, N^k) uniform steps so the first-order
     seeding error stays under the order-k target at desk scale.  The
-    sub-solve runs on the same static window as the main sweep.
+    sub-solve starts from the terminal field and runs on the same static
+    window as the main sweep.
     """
+    t_level = level * (problem.T / config.N)
     M = min(BOOTSTRAP_MAX_SUBSTEPS, config.N**config.k)
     delta = (problem.T - t_level) / M
-    coeffs1 = compute_coeffs(1)
-    ws = _LevelWorkspace(problem, spec, rule, coeffs1, r, config.eps0, config.max_picard)
-    field = _terminal_field(problem, spec, window, M, config.eps0, config.max_picard)
+    ws = _LevelWorkspace(problem, spec, window, rule, compute_coeffs(1), r, config)
+    field = terminal
     for m in range(M - 1, -1, -1):
-        field = ws.step(m, t_level + m * delta, delta, window, {1: field})
-    return ValueField(
-        window=field.window,
-        y_values=field.y_values,
-        z_values=field.z_values,
-        level=level,
-    )
+        field = ws.step(m, t_level + m * delta, delta, {1: field})
+    return replace(field, level=level)
 
 
-def init_terminal(problem, config, spec, window, rule, bounds, r):
+def init_terminal(problem, config, spec, window, rule, r):
     """Build the terminal-side fields: level N plus levels N-1 .. N-k.
 
     Level N always carries (phi, grad_phi . sigma).  The k levels below it
@@ -698,14 +621,18 @@ def init_terminal(problem, config, spec, window, rule, bounds, r):
     if config.terminal_mode == "bootstrap" and problem.grad_phi is None:
         raise ConfigError("terminal_mode='bootstrap' requires grad_phi on the problem")
 
-    fields = {N: _terminal_field(problem, spec, window, N, config.eps0, config.max_picard)}
+    X = grid_points(spec, window)
+    Y, Z = _terminal_yz_probe(problem, X, config.eps0, config.max_picard)
+    fields = {N: _field(problem, window, N, Y, Z)}
     for i in range(1, k + 1):
         level = N - i
         if config.terminal_mode == "exact":
-            fields[level] = _exact_field(problem, spec, window, level, level * dt)
+            t = level * dt
+            Y, Z = problem.exact_y(t, X), problem.exact_z(t, X)
+            fields[level] = _field(problem, window, level, Y, Z)
         else:
             fields[level] = _bootstrap_field(
-                problem, spec, config, rule, bounds, window, level, level * dt, r
+                problem, spec, config, rule, window, fields[N], level, r
             )
     return fields
 
@@ -713,8 +640,8 @@ def init_terminal(problem, config, spec, window, rule, bounds, r):
 def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
     """Run the backward sweep and evaluate (Y, Z) at (0, x0).
 
-    Dispatches on ``problem.coupled``; errors against the exact solution are
-    attached when the problem carries one.
+    Errors against the exact solution are attached when the problem carries
+    one.
     """
     start = time.perf_counter()
     _num_workers()  # validate the env var early; results do not depend on it
@@ -742,17 +669,23 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
     dt = problem.T / N
     window = _make_window(problem.T, bounds[0], bounds[1], rule.max_abs_node, r, spec)
 
-    fields = init_terminal(problem, config, spec, window, rule, bounds, r)
-    state = SweepState(k, {lvl: fields[lvl] for lvl in range(N - k, N)})
+    fields = init_terminal(problem, config, spec, window, rule, r)
     ws = _LevelWorkspace(
-        problem, spec, rule, coeffs, r, config.eps0, config.max_picard,
-        max_outer=config.max_outer, band_exact=config.terminal_mode == "exact",
+        problem, spec, window, rule, coeffs, r, config,
+        band_exact=config.terminal_mode == "exact",
     )
     for n in range(N - k - 1, -1, -1):
-        history = {j: state.field(n + j) for j in range(1, k + 1)}
-        state.advance(ws.step(n, n * dt, dt, window, history))
+        fields[n] = ws.step(n, n * dt, dt, {j: fields[n + j] for j in range(1, k + 1)})
+        del fields[n + k]
+    if ws.unconverged:
+        logger.warning(
+            "%d of %d sweep levels accepted an outer iterate with residual "
+            ">= eps0=%g (largest %.3g) when the max_outer=%d budget ran out",
+            len(ws.unconverged), N - k, config.eps0, max(ws.unconverged),
+            config.max_outer,
+        )
 
-    final = state.field(0)
+    final = fields[0]
     x0 = problem.x0[None, :]
     y0 = interpolate_values(final.y_values, final.window, spec, x0, r)[0]
     z0 = interpolate_values(final.z_values, final.window, spec, x0, r)[0]

@@ -67,9 +67,6 @@ class ActiveWindow:
     def extents(self) -> tuple[int, ...]:
         return tuple(int(n) for n in self.hi - self.lo + 1)
 
-    def contains(self, other: "ActiveWindow") -> bool:
-        return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
-
 
 @dataclass(frozen=True)
 class ValueField:

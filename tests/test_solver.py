@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde_multistep import (
     ConfigError,
@@ -17,23 +19,23 @@ from fbsde_multistep import (
     resolve_discretization,
     solve,
 )
-from fbsde_multistep.solver import WORKERS_ENV_VAR
+from fbsde_multistep.solver import BOOTSTRAP_MAX_SUBSTEPS, WORKERS_ENV_VAR
 
 EX51 = registry_get("ex51")
 
 
-def linear_problem(sigma=0.7):
-    """f = 0, b = 0, constant sigma, phi(x) = x: Y_t = X_t, Z_t = sigma."""
+def linear_problem(sigma=0.7, b=0.0, coupled=False):
+    """f = 0, constant b and sigma, phi(x) = x: Y_t = X_t + b(T - t), Z_t = sigma."""
     return FbsdeProblem(
         name="linear", q=1, p=1, d=1,
-        b=lambda t, X, Y, Z: np.zeros_like(X),
+        b=lambda t, X, Y, Z: np.full_like(X, b),
         sigma=lambda t, X, Y, Z, s=sigma: np.full((X.shape[0], 1, 1), s),
         f=lambda t, X, Y, Z: np.zeros((X.shape[0], 1)),
         phi=lambda X: X.copy(),
         grad_phi=lambda X: np.ones((X.shape[0], 1, 1)),
-        exact_y=lambda t, X: X.copy(),
+        exact_y=lambda t, X: X + b * (1.0 - t),
         exact_z=lambda t, X, s=sigma: np.full((X.shape[0], 1, 1), s),
-        T=1.0, x0=[0.4], coupled=False,
+        T=1.0, x0=[0.4], coupled=coupled,
     )
 
 
@@ -93,6 +95,22 @@ def test_linear_problem_is_exact(k):
     assert abs(result.z0[0, 0] - 0.7) <= 1e-9
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    b=st.floats(-1.0, 1.0),
+    sigma=st.floats(0.1, 1.5),
+    k=st.integers(1, 6),
+    coupled=st.booleans(),
+)
+def test_linear_problem_is_exact_for_any_constant_coefficients(b, sigma, k, coupled):
+    # The affine case is exact on the single step path whether the level
+    # takes one pass (decoupled) or runs the outer loop (coupled).
+    problem = linear_problem(sigma=sigma, b=b, coupled=coupled)
+    result = solve(problem, SolverConfig(k=k, N=16))
+    assert abs(result.y0[0] - (0.4 + b)) <= 1e-9
+    assert abs(result.z0[0, 0] - sigma) <= 1e-9
+
+
 def test_table_values_ex51_k1():
     result = solve(EX51, SolverConfig(k=1, N=16))
     assert result.err_y[0] == pytest.approx(3.576e-3, rel=2.0)
@@ -118,7 +136,7 @@ def test_exact_seeding_levels_match_closed_form():
     rule = hermite_rule(8)
     raw, bounds = _coefficient_bounds(EX51, rule, config.eps0, config.max_picard)
     window = _make_window(EX51.T, bounds[0], bounds[1], rule.max_abs_node, r, spec)
-    fields = init_terminal(EX51, config, spec, window, rule, bounds, r)
+    fields = init_terminal(EX51, config, spec, window, rule, r)
     assert sorted(fields) == [13, 14, 15, 16]
     X = grid_points(spec, window)
     level = 15
@@ -217,6 +235,53 @@ def test_picard_counts_nonincreasing_in_N():
         for N in (16, 32, 64)
     ]
     assert counts[0] >= counts[1] >= counts[2]
+
+
+def _grid_b_calls(problem, config):
+    """Solve, counting the calls of b on the whole grid (the largest row count)."""
+    rows = []
+
+    def b(t, X, Y, Z):
+        rows.append(X.shape[0])
+        return problem.b(t, X, Y, Z)
+
+    counted = dataclasses.replace(problem, b=b)
+    rows.clear()  # drop the decoupled-flag probes made by the record itself
+    result = solve(counted, config)
+    return rows.count(max(rows)), result
+
+
+def test_decoupled_level_is_one_pass():
+    config = SolverConfig(k=2, N=16)
+    calls, result = _grid_b_calls(EX51, config)
+    assert calls == config.N - config.k
+    # picard_stats still reports implicit-Y iterations for decoupled problems
+    assert result.picard_stats.max_iterations == 10
+
+
+def test_max_outer_bounds_sweep_and_bootstrap_levels():
+    config = SolverConfig(k=2, N=8, max_outer=1, terminal_mode="bootstrap")
+    calls, result = _grid_b_calls(registry_get("ex54a"), config)
+    substeps = min(BOOTSTRAP_MAX_SUBSTEPS, config.N**config.k)
+    assert calls == (config.N - config.k) + config.k * substeps
+    assert result.picard_stats.max_iterations == 1
+
+
+def _unconverged_warnings(caplog, problem, config):
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
+        solve(problem, config)
+    messages = [rec.getMessage() for rec in caplog.records]
+    return [msg for msg in messages if "residual >= eps0" in msg]
+
+
+def test_outer_iterates_accepted_unconverged_warn_once(caplog):
+    warned = _unconverged_warnings(caplog, registry_get("ex54b"), SolverConfig(k=1, N=16))
+    assert len(warned) == 1
+    assert warned[0].startswith("13 of 15 sweep levels")
+    ex54a = registry_get("ex54a")
+    assert _unconverged_warnings(caplog, ex54a, SolverConfig(k=2, N=64)) == []
+    assert _unconverged_warnings(caplog, EX51, SolverConfig(k=2, N=16)) == []
 
 
 def test_coupled_outer_counts_small():
