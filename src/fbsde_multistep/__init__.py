@@ -32,12 +32,13 @@ from .quadrature import (
 )
 from .solver import (
     ConfigError,
+    Discretization,
     PicardDivergenceError,
     PicardStats,
     SolverConfig,
     SolveResult,
+    discretize,
     init_terminal,
-    resolve_discretization,
     solve,
 )
 from .spacegrid import (
@@ -56,6 +57,7 @@ __all__ = [
     "BlackScholesParams",
     "ConfigError",
     "ConvergenceReport",
+    "Discretization",
     "FbsdeProblem",
     "GaussHermiteRule",
     "GridSpec",
@@ -74,6 +76,7 @@ __all__ = [
     "approx_derivative",
     "black_scholes_exact",
     "compute_coeffs",
+    "discretize",
     "expect_gaussian",
     "fit_rate",
     "grid_points",
@@ -85,7 +88,6 @@ __all__ = [
     "normal_cdf",
     "registry_get",
     "registry_names",
-    "resolve_discretization",
     "run",
     "solve",
     "stability_report",

@@ -65,9 +65,9 @@ class PicardDivergenceError(RuntimeError):
 class SolverConfig:
     """Discretization and iteration parameters for one solve.
 
-    ``r`` and ``h`` default to the balancing policy (see
-    :func:`resolve_discretization`); ``terminal_mode`` selects how the k-1
-    history levels below the terminal one are produced.
+    ``r`` and ``h`` default to the balancing policy (see :func:`discretize`);
+    ``terminal_mode`` selects how the k history levels below the terminal
+    one (N-1 .. N-k) are produced.
     """
 
     k: int
@@ -117,6 +117,36 @@ class PicardStats:
 
 
 @dataclass(frozen=True)
+class Discretization:
+    """What one solve runs on, resolved once by :func:`discretize`.
+
+    ``h`` and ``r`` are the grid spacing and the Lagrange degree, ``rule`` is
+    the Gauss-Hermite rule after any node raise (``rule.L`` is the count
+    actually used), ``window`` is the static window every level shares, ``X``
+    its grid points and ``lo``/``hi`` its hull.
+    """
+
+    h: float
+    r: int
+    spec: GridSpec
+    rule: GaussHermiteRule
+    window: ActiveWindow
+    X: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def field(self, problem, level, Y, Z) -> ValueField:
+        """Freeze per-point (Y, Z) rows as the field of one level on the window."""
+        ext = self.window.extents
+        return ValueField(
+            window=self.window,
+            y_values=np.asarray(Y, dtype=float).reshape(ext + (problem.p,)),
+            z_values=np.asarray(Z, dtype=float).reshape(ext + (problem.p, problem.d)),
+            level=level,
+        )
+
+
+@dataclass(frozen=True)
 class SolveResult:
     y0: np.ndarray
     z0: np.ndarray
@@ -124,6 +154,7 @@ class SolveResult:
     err_z: Optional[np.ndarray]
     picard_stats: PicardStats
     runtime: float
+    discretization: Discretization
 
 
 def _default_degree(k: int) -> int:
@@ -132,54 +163,6 @@ def _default_degree(k: int) -> int:
     if k <= 6:
         return 10
     return 15
-
-
-def resolve_discretization(config: SolverConfig, problem: FbsdeProblem):
-    """Pick interpolation degree and grid spacing for a run.
-
-    The balancing policy equates the space and time error contributions,
-    h^(r+1) = dt^(k+1); low-order schemes get a modest degree, higher-order
-    ones a larger degree so h does not collapse.  The automatic spacing is
-    expressed in units of the problem's characteristic length (grid_scale),
-    which matters for problems like log-price models whose features live on
-    a sub-unit scale.
-
-    The rule assumes a smooth solution.  A terminal function with a kink
-    (``problem.smooth_terminal`` False) leaves the seeded level one step
-    below T smooth only over sigma*sqrt(dt); where h exceeds that length the
-    space error no longer follows the time order, and :func:`solve` logs a
-    warning (see :func:`_warn_unresolved_kink`).
-    """
-    dt = problem.T / config.N
-    r = config.r if config.r is not None else _default_degree(config.k)
-    h = config.h
-    if h is None:
-        h = problem.grid_scale * dt ** ((config.k + 1) / (r + 1))
-    return h, r
-
-
-def _warn_unresolved_kink(problem: FbsdeProblem, h: float, dt: float, s_raw):
-    """Warn when the grid cannot resolve a terminal kink one step below T.
-
-    A kink in phi is smoothed by the forward diffusion only over the length
-    sigma*sqrt(tau) at time-to-maturity tau, so the seeded level at tau = dt
-    varies on s*sqrt(dt), s being the probed bound of sigma's row norm per
-    axis (the widest smoothing the problem allows).  A spacing above that on
-    some axis leaves the seeded levels under-resolved, and the space error
-    then masks or cancels the time error of the scheme.  Only reports; the
-    discretization is unchanged.
-    """
-    if problem.smooth_terminal:
-        return
-    length = s_raw * math.sqrt(dt)
-    if not np.any(h > length):
-        return
-    logger.warning(
-        "problem %r has a kinked terminal function smoothed only over "
-        "sigma*sqrt(dt) = %s one step below T, below the grid spacing h=%s; "
-        "the space error may not follow the time order",
-        problem.name, np.array2string(length, precision=4), h,
-    )
 
 
 def _num_workers() -> int:
@@ -225,44 +208,6 @@ def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float, cap: i
     )
 
 
-def _coefficient_bounds(problem: FbsdeProblem, rule: GaussHermiteRule, eps0: float, cap: int):
-    """Per-axis sup bounds of |b| and the L1 row norm of sigma.
-
-    One probe pass over a box sized from values at x0 (no re-probing: for
-    multiplicative noise a fixed-point box estimate would not converge).
-    Returns the raw probed bounds and the inflated ones used for window
-    sizing.
-    """
-    T = problem.T
-    a_max = rule.max_abs_node
-    x0 = problem.x0[None, :]
-    y0, z0 = _terminal_yz_probe(problem, x0, eps0, cap)
-
-    def row_bounds(ts, X, Y, Z):
-        bb = np.zeros(problem.q)
-        ss = np.zeros(problem.q)
-        for t in ts:
-            bb = np.maximum(bb, np.max(np.abs(np.asarray(problem.b(t, X, Y, Z))), axis=0))
-            sig = np.abs(np.asarray(problem.sigma(t, X, Y, Z))).sum(axis=2)
-            ss = np.maximum(ss, np.max(sig, axis=0))
-        return bb, ss
-
-    times = (0.0, 0.5 * T, T)
-    b_loc, s_loc = row_bounds(times, x0, y0, z0)
-    half = b_loc * T + ENVELOPE_FACTOR * s_loc * math.sqrt(2.0 * T) * a_max + 1e-8
-
-    grids = [
-        problem.x0[dim] + np.linspace(-half[dim], half[dim], 17) for dim in range(problem.q)
-    ]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=-1)
-    Y, Z = _terminal_yz_probe(problem, X, eps0, cap)
-    b_box, s_box = row_bounds(times, X, Y, Z)
-    raw = (b_box, s_box)
-    inflated = (BOUND_INFLATION * b_box, BOUND_INFLATION * s_box)
-    return raw, inflated
-
-
 # Quadrature fan-to-grid sampling limits: the level operator's spectral radius
 # stays below 1 while the fan width sigma*sqrt(2k dt)*a_max spans at most
 # ~0.85 L cells (measured on frozen-coefficient operators over k <= 4); runs
@@ -271,45 +216,107 @@ STABLE_CELLS_PER_NODE = 0.85
 TARGET_CELLS_PER_NODE = 0.55
 
 
-def _stable_node_count(problem, config, s_raw, h) -> int:
-    """Gauss-Hermite node count needed to keep the level operator stable.
+def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
+    """Resolve the grid spacing, degree, node rule and static window of a solve.
 
-    Logs a warning when the returned count (capped at 64) still leaves the
-    fan wider than the measured stable bound.
+    * Spacing and degree: the balancing policy equates the space and time
+      error contributions, h^(r+1) = dt^(k+1); low-order schemes get a modest
+      degree, higher-order ones a larger degree so h does not collapse.  The
+      automatic spacing is expressed in units of the problem's characteristic
+      length (grid_scale), which matters for problems like log-price models
+      whose features live on a sub-unit scale.
+    * Coefficient bounds: per-axis sup bounds of |b| and of the L1 row norm
+      of sigma, from one probe pass over a box sized from values at x0 (no
+      re-probing: for multiplicative noise a fixed-point box estimate would
+      not converge).
+    * Node count: raised from ``config.L`` until the quadrature fan keeps the
+      level operator stable; a warning is logged when the 64-node cap still
+      leaves the fan wider than the measured stable bound.
+    * Window: one static window covering the diffusion envelope of the whole
+      solve, with the bounds inflated by BOUND_INFLATION.  Every level shares
+      it: a moving (per-level) window would sweep its edge band inward and
+      freeze edge artifacts progressively closer to the evaluation point,
+      whereas a static edge stays a fixed many envelope standard deviations
+      away.
+
+    The balancing rule assumes a smooth solution.  A kink in phi
+    (``problem.smooth_terminal`` False) is smoothed by the forward diffusion
+    only over s*sqrt(dt) at the seeded level one step below T, s being the
+    probed bound of sigma's row norm per axis.  Where h exceeds that length
+    the space error no longer follows the time order, and a warning is
+    logged; the discretization is unchanged.
     """
-    dt = problem.T / config.N
+    T, k = problem.T, config.k
+    dt = T / config.N
+    r = config.r if config.r is not None else _default_degree(k)
+    h = config.h
+    if h is None:
+        h = problem.grid_scale * dt ** ((k + 1) / (r + 1))
+    spec = GridSpec(q=problem.q, h=h, origin=problem.x0)
+
+    def envelope(b_bound, s_bound, a_max):
+        return b_bound * T + ENVELOPE_FACTOR * s_bound * math.sqrt(2.0 * T) * a_max
+
+    def row_bounds(X, Y, Z):
+        bb = np.zeros(problem.q)
+        ss = np.zeros(problem.q)
+        for t in (0.0, 0.5 * T, T):
+            bb = np.maximum(bb, np.max(np.abs(np.asarray(problem.b(t, X, Y, Z))), axis=0))
+            sig = np.abs(np.asarray(problem.sigma(t, X, Y, Z))).sum(axis=2)
+            ss = np.maximum(ss, np.max(sig, axis=0))
+        return bb, ss
+
+    x0 = problem.x0[None, :]
+    y0, z0 = _terminal_yz_probe(problem, x0, config.eps0, config.max_picard)
+    half = envelope(*row_bounds(x0, y0, z0), hermite_rule(config.L).max_abs_node) + 1e-8
+    grids = [
+        problem.x0[dim] + np.linspace(-half[dim], half[dim], 17) for dim in range(problem.q)
+    ]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    X = np.stack([m.ravel() for m in mesh], axis=-1)
+    Y, Z = _terminal_yz_probe(problem, X, config.eps0, config.max_picard)
+    b_raw, s_raw = row_bounds(X, Y, Z)
 
     def fan_cells(L):
         a_max = hermite_rule(L).max_abs_node
-        return float(np.max(s_raw * math.sqrt(2.0 * config.k * dt) * a_max / h))
+        return float(np.max(s_raw * math.sqrt(2.0 * k * dt) * a_max / spec.h))
 
     L = config.L
-    for _ in range(4):
-        fan = fan_cells(L)
-        if fan <= STABLE_CELLS_PER_NODE * L:
-            return L
-        L = min(64, max(L + 1, math.ceil(fan / TARGET_CELLS_PER_NODE)))
     fan = fan_cells(L)
+    for _ in range(4):
+        if fan <= STABLE_CELLS_PER_NODE * L:
+            break
+        L = min(64, max(L + 1, math.ceil(fan / TARGET_CELLS_PER_NODE)))
+        fan = fan_cells(L)
     if fan > STABLE_CELLS_PER_NODE * L:
         logger.warning(
             "%d Gauss-Hermite nodes leave the quadrature fan %.1f cells wide, "
             "above the measured stable bound %.1f; the sweep may amplify errors",
             L, fan, STABLE_CELLS_PER_NODE * L,
         )
-    return L
+    length = s_raw * math.sqrt(dt)
+    if not problem.smooth_terminal and np.any(h > length):
+        logger.warning(
+            "problem %r has a kinked terminal function smoothed only over "
+            "sigma*sqrt(dt) = %s one step below T, below the grid spacing h=%s; "
+            "the space error may not follow the time order",
+            problem.name, np.array2string(length, precision=4), h,
+        )
+    rule = hermite_rule(L)
 
-
-def _make_window(span: float, b_bound, s_bound, a_max: float, r: int, spec: GridSpec):
-    """One static window covering the diffusion envelope of a whole solve.
-
-    Every level shares it: a moving (per-level) window would sweep its edge
-    band inward and freeze edge artifacts progressively closer to the
-    evaluation point, whereas a static edge stays a fixed many envelope
-    standard deviations away.
-    """
-    half = b_bound * span + ENVELOPE_FACTOR * s_bound * math.sqrt(2.0 * span) * a_max
+    half = envelope(BOUND_INFLATION * b_raw, BOUND_INFLATION * s_raw, rule.max_abs_node)
     cells = np.ceil(half / spec.h).astype(np.int64) + r + EXTRA_MARGIN_CELLS
-    return ActiveWindow(lo=-cells, hi=cells)
+    window = ActiveWindow(lo=-cells, hi=cells)
+    return Discretization(
+        h=h,
+        r=r,
+        spec=spec,
+        rule=rule,
+        window=window,
+        X=grid_points(spec, window),
+        lo=spec.origin + spec.h * window.lo,
+        hi=spec.origin + spec.h * window.hi,
+    )
 
 
 class _BroydenState:
@@ -359,31 +366,14 @@ class _BroydenState:
         return v - step * factor[:, None]
 
 
-def _field(problem, window, level, Y, Z) -> ValueField:
-    """Freeze per-point (Y, Z) rows as the field of one level on the window."""
-    ext = window.extents
-    return ValueField(
-        window=window,
-        y_values=np.asarray(Y, dtype=float).reshape(ext + (problem.p,)),
-        z_values=np.asarray(Z, dtype=float).reshape(ext + (problem.p, problem.d)),
-        level=level,
-    )
-
-
 class _LevelWorkspace:
-    """The static window, its grid points and hull, and counters for one sweep."""
+    """The discretization, the multistep weights and the counters of one sweep."""
 
-    def __init__(self, problem, spec, window, rule, coeffs, r, config, band_exact=False):
+    def __init__(self, problem, disc, coeffs, config, band_exact=False):
         self.problem = problem
-        self.spec = spec
-        self.window = window
-        self.X = grid_points(spec, window)
-        self.lo = spec.origin + spec.h * window.lo
-        self.hi = spec.origin + spec.h * window.hi
-        self.rule = rule
+        self.disc = disc
         self.coeffs = coeffs
         self.k = coeffs.k
-        self.r = r
         self.eps0 = config.eps0
         self.max_picard = config.max_picard
         self.max_outer = config.max_outer if problem.coupled else 1
@@ -394,7 +384,7 @@ class _LevelWorkspace:
 
     def _rows(self, field: ValueField):
         """A history field's (Y, Z) as per-point rows (every field shares the window)."""
-        n = self.X.shape[0]
+        n = self.disc.X.shape[0]
         return field.y_values.reshape(n, -1), field.z_values.reshape(n, self.problem.p, -1)
 
     def _band_values(self, t_n, unsafe, y_next, z_next):
@@ -406,7 +396,7 @@ class _LevelWorkspace:
         is non-amplifying but goes stale for long horizons.
         """
         if self.band_exact:
-            Xb = self.X[unsafe]
+            Xb = self.disc.X[unsafe]
             return (
                 np.asarray(self.problem.exact_y(t_n, Xb), dtype=float),
                 np.asarray(self.problem.exact_z(t_n, Xb), dtype=float),
@@ -423,14 +413,15 @@ class _LevelWorkspace:
         level over level.  The mask also guards the stencil block around the
         grid center, which must always be scheme-computed.
         """
-        X = self.X
+        disc = self.disc
+        X = disc.X
         reach = np.abs(b_n) * (self.k * dt) + np.abs(sig_n).sum(axis=2) * (
-            math.sqrt(2.0 * self.k * dt) * self.rule.max_abs_node
+            math.sqrt(2.0 * self.k * dt) * disc.rule.max_abs_node
         )
-        safe = np.all((X - reach >= self.lo) & (X + reach <= self.hi), axis=1)
-        center = safe.reshape(self.window.extents)
+        safe = np.all((X - reach >= disc.lo) & (X + reach <= disc.hi), axis=1)
+        center = safe.reshape(disc.window.extents)
         sl = tuple(
-            slice(int(-l - self.r - 1), int(-l + self.r + 2)) for l in self.window.lo
+            slice(int(-l - disc.r - 1), int(-l + disc.r + 2)) for l in disc.window.lo
         )
         if not bool(np.all(center[sl])):
             raise RuntimeError(
@@ -446,8 +437,8 @@ class _LevelWorkspace:
         interpolated Y next to Y (x) dW, with dW carrying the sqrt(2 j dt)
         node scaling.
         """
-        problem = self.problem
-        X, lo, hi = self.X, self.lo, self.hi
+        problem, disc = self.problem, self.disc
+        X, lo, hi = disc.X, disc.lo, disc.hi
         n = X.shape[0]
         p, d = problem.p, problem.d
         EY = np.empty((self.k, n, p))
@@ -468,14 +459,14 @@ class _LevelWorkspace:
                 # which is an amplifying feedback for multiplicative noise.
                 inside = np.all((Xq >= lo) & (Xq <= hi), axis=1)
                 np.clip(Xq, lo, hi, out=Xq)
-                Yq = interpolate_values(fld.y_values, fld.window, self.spec, Xq, self.r)
+                Yq = interpolate_values(fld.y_values, fld.window, disc.spec, Xq, disc.r)
                 Yq *= inside[:, None]
                 packed = np.empty((n, p + p * d))
                 packed[:, :p] = Yq
                 packed[:, p:] = (Yq[:, :, None] * dW).reshape(n, p * d)
                 return packed
 
-            packed = expect_gaussian(integrand, d, self.rule)
+            packed = expect_gaussian(integrand, d, disc.rule)
             EY[j - 1] = packed[:, :p]
             EYW[j - 1] = packed[:, p:].reshape(n, p, d)
         return EY, EYW
@@ -517,7 +508,7 @@ class _LevelWorkspace:
         the plain contraction is slow.  ``history[j]`` is the field of level
         ``level + j``.
         """
-        problem, X = self.problem, self.X
+        problem, X = self.problem, self.disc.X
         n = X.shape[0]
         p, d = problem.p, problem.d
         y_next, z_next = self._rows(history[1])
@@ -564,7 +555,7 @@ class _LevelWorkspace:
                         self.unconverged.append(delta)
                 else:
                     self.picard_counts.append(iters)
-                return _field(problem, self.window, level, gy, gz)
+                return self.disc.field(problem, level, gy, gz)
             if self._broyden is None:
                 self._broyden = _BroydenState(n, p + p * d)
             packed_v = np.concatenate([y_cur, z_cur.reshape(n, p * d)], axis=1)
@@ -582,25 +573,26 @@ class _LevelWorkspace:
         )
 
 
-def _bootstrap_field(problem, spec, config, rule, window, terminal, level, r):
+def _bootstrap_field(problem, config, disc, terminal, level):
     """Fill one seed level by a fine k=1 solve of [t_level, T].
 
     The sub-partition has M = min(cap, N^k) uniform steps so the first-order
     seeding error stays under the order-k target at desk scale.  The
     sub-solve starts from the terminal field and runs on the same static
-    window as the main sweep.
+    window as the main sweep.  Returns the field and the sub-solve's
+    workspace, whose counters the solve reports.
     """
     t_level = level * (problem.T / config.N)
     M = min(BOOTSTRAP_MAX_SUBSTEPS, config.N**config.k)
     delta = (problem.T - t_level) / M
-    ws = _LevelWorkspace(problem, spec, window, rule, compute_coeffs(1), r, config)
+    ws = _LevelWorkspace(problem, disc, compute_coeffs(1), config)
     field = terminal
     for m in range(M - 1, -1, -1):
         field = ws.step(m, t_level + m * delta, delta, {1: field})
-    return replace(field, level=level)
+    return replace(field, level=level), ws
 
 
-def init_terminal(problem, config, spec, window, rule, r):
+def init_terminal(problem, config, disc):
     """Build the terminal-side fields: level N plus levels N-1 .. N-k.
 
     Level N always carries (phi, grad_phi . sigma).  The k levels below it
@@ -609,6 +601,9 @@ def init_terminal(problem, config, spec, window, rule, r):
     (e.g. call payoffs) would otherwise leak O(h)-size interpolation error
     into every high-order run.  Seeds come from the exact solution or from
     fine k=1 bootstrap solves of [t_level, T] anchored at the payoff.
+
+    Returns the fields by level and the bootstrap workspaces (none under
+    exact seeding).
     """
     N, k = config.N, config.k
     dt = problem.T / N
@@ -621,27 +616,44 @@ def init_terminal(problem, config, spec, window, rule, r):
     if config.terminal_mode == "bootstrap" and problem.grad_phi is None:
         raise ConfigError("terminal_mode='bootstrap' requires grad_phi on the problem")
 
-    X = grid_points(spec, window)
+    X = disc.X
     Y, Z = _terminal_yz_probe(problem, X, config.eps0, config.max_picard)
-    fields = {N: _field(problem, window, N, Y, Z)}
+    fields = {N: disc.field(problem, N, Y, Z)}
+    seeds = []
     for i in range(1, k + 1):
         level = N - i
         if config.terminal_mode == "exact":
             t = level * dt
             Y, Z = problem.exact_y(t, X), problem.exact_z(t, X)
-            fields[level] = _field(problem, window, level, Y, Z)
+            fields[level] = disc.field(problem, level, Y, Z)
         else:
-            fields[level] = _bootstrap_field(
-                problem, spec, config, rule, window, fields[N], level, r
-            )
-    return fields
+            fields[level], ws = _bootstrap_field(problem, config, disc, fields[N], level)
+            seeds.append(ws)
+    return fields, seeds
+
+
+def _warn_unconverged(config, sweep, seeds):
+    """One warning for the outer iterates a solve accepted at or above eps0."""
+    parts, residuals = [], []
+    for what, group in (("sweep levels", [sweep]), ("bootstrap sub-levels", seeds)):
+        accepted = [res for ws in group for res in ws.unconverged]
+        if accepted:
+            total = sum(len(ws.picard_counts) for ws in group)
+            parts.append(f"{len(accepted)} of {total} {what}")
+            residuals += accepted
+    if parts:
+        logger.warning(
+            "%s accepted an outer iterate with residual >= eps0=%g (largest %.3g) "
+            "when the max_outer=%d budget ran out",
+            " and ".join(parts), config.eps0, max(residuals), config.max_outer,
+        )
 
 
 def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
     """Run the backward sweep and evaluate (Y, Z) at (0, x0).
 
     Errors against the exact solution are attached when the problem carries
-    one.
+    one; the result also carries the discretization the solve ran on.
     """
     start = time.perf_counter()
     _num_workers()  # validate the env var early; results do not depend on it
@@ -651,44 +663,23 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
         logger.warning(
             "k=%d violates the root condition; expect divergence as N grows", config.k
         )
-    h, r = resolve_discretization(config, problem)
-    spec = GridSpec(q=problem.q, h=h, origin=problem.x0)
-    raw, bounds = _coefficient_bounds(
-        problem, hermite_rule(config.L), config.eps0, config.max_picard
-    )
-    L_eff = _stable_node_count(problem, config, raw[1], spec.h)
-    _warn_unresolved_kink(problem, h, problem.T / config.N, raw[1])
-    if L_eff != config.L:
-        logger.info(
-            "raising Gauss-Hermite nodes %d -> %d to keep the quadrature fan "
-            "resolved on the h=%s grid", config.L, L_eff, h,
-        )
-    rule = hermite_rule(L_eff)
+    disc = discretize(problem, config)
 
     N, k = config.N, config.k
     dt = problem.T / N
-    window = _make_window(problem.T, bounds[0], bounds[1], rule.max_abs_node, r, spec)
-
-    fields = init_terminal(problem, config, spec, window, rule, r)
+    fields, seeds = init_terminal(problem, config, disc)
     ws = _LevelWorkspace(
-        problem, spec, window, rule, coeffs, r, config,
-        band_exact=config.terminal_mode == "exact",
+        problem, disc, coeffs, config, band_exact=config.terminal_mode == "exact"
     )
     for n in range(N - k - 1, -1, -1):
         fields[n] = ws.step(n, n * dt, dt, {j: fields[n + j] for j in range(1, k + 1)})
         del fields[n + k]
-    if ws.unconverged:
-        logger.warning(
-            "%d of %d sweep levels accepted an outer iterate with residual "
-            ">= eps0=%g (largest %.3g) when the max_outer=%d budget ran out",
-            len(ws.unconverged), N - k, config.eps0, max(ws.unconverged),
-            config.max_outer,
-        )
+    _warn_unconverged(config, ws, seeds)
 
     final = fields[0]
     x0 = problem.x0[None, :]
-    y0 = interpolate_values(final.y_values, final.window, spec, x0, r)[0]
-    z0 = interpolate_values(final.z_values, final.window, spec, x0, r)[0]
+    y0 = interpolate_values(final.y_values, final.window, disc.spec, x0, disc.r)[0]
+    z0 = interpolate_values(final.z_values, final.window, disc.spec, x0, disc.r)[0]
 
     err_y = err_z = None
     if problem.exact_y is not None:
@@ -707,4 +698,5 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
         err_z=err_z,
         picard_stats=stats,
         runtime=time.perf_counter() - start,
+        discretization=disc,
     )

@@ -14,9 +14,10 @@ from fbsde_multistep import (
     FbsdeProblem,
     PicardDivergenceError,
     SolverConfig,
+    discretize,
+    grid_points,
     init_terminal,
     registry_get,
-    resolve_discretization,
     solve,
 )
 from fbsde_multistep.solver import BOOTSTRAP_MAX_SUBSTEPS, WORKERS_ENV_VAR
@@ -41,34 +42,35 @@ def linear_problem(sigma=0.7, b=0.0, coupled=False):
 
 def test_resolve_discretization_balancing_example():
     config = SolverConfig(k=2, N=64, r=6)
-    h, r = resolve_discretization(config, EX51)
-    assert r == 6
-    assert h == pytest.approx((1.0 / 64.0) ** (3.0 / 7.0), rel=1e-12)
-    assert h == pytest.approx(0.1683, abs=5e-4)
+    disc = discretize(EX51, config)
+    assert disc.r == 6
+    assert disc.h == pytest.approx((1.0 / 64.0) ** (3.0 / 7.0), rel=1e-12)
+    assert disc.h == pytest.approx(0.1683, abs=5e-4)
 
 
 def test_resolve_discretization_passthrough():
     config = SolverConfig(k=1, N=16, r=1, h=0.05)
-    assert resolve_discretization(config, EX51) == (0.05, 1)
+    disc = discretize(EX51, config)
+    assert (disc.h, disc.r) == (0.05, 1)
 
 
 def test_resolve_discretization_auto_degree_brackets():
-    assert resolve_discretization(SolverConfig(k=1, N=16), EX51)[1] == 6
-    assert resolve_discretization(SolverConfig(k=3, N=16), EX51)[1] == 6
-    assert resolve_discretization(SolverConfig(k=4, N=16), EX51)[1] == 10
-    assert resolve_discretization(SolverConfig(k=6, N=16), EX51)[1] == 10
-    assert resolve_discretization(SolverConfig(k=8, N=16), EX51)[1] == 15
+    assert discretize(EX51, SolverConfig(k=1, N=16)).r == 6
+    assert discretize(EX51, SolverConfig(k=3, N=16)).r == 6
+    assert discretize(EX51, SolverConfig(k=4, N=16)).r == 10
+    assert discretize(EX51, SolverConfig(k=6, N=16)).r == 10
+    assert discretize(EX51, SolverConfig(k=8, N=16)).r == 15
 
 
 def test_auto_spacing_nonincreasing_in_N():
-    hs = [resolve_discretization(SolverConfig(k=2, N=N), EX51)[0] for N in (16, 32, 64)]
+    hs = [discretize(EX51, SolverConfig(k=2, N=N)).h for N in (16, 32, 64)]
     assert hs[0] > hs[1] > hs[2]
 
 
 def test_auto_spacing_uses_problem_scale():
     bs = registry_get("ex52_bs")
-    h_bs, _ = resolve_discretization(SolverConfig(k=2, N=64), bs)
-    h_51, _ = resolve_discretization(SolverConfig(k=2, N=64), EX51)
+    h_bs = discretize(bs, SolverConfig(k=2, N=64)).h
+    h_51 = discretize(EX51, SolverConfig(k=2, N=64)).h
     assert h_bs == pytest.approx(bs.grid_scale * h_51, rel=1e-12)
 
 
@@ -125,20 +127,12 @@ def test_table_values_ex51_k4():
 
 
 def test_exact_seeding_levels_match_closed_form():
-    from fbsde_multistep.multistep import compute_coeffs
-    from fbsde_multistep.quadrature import hermite_rule
-    from fbsde_multistep.solver import _coefficient_bounds, _make_window
-    from fbsde_multistep.spacegrid import GridSpec, grid_points
-
     config = SolverConfig(k=3, N=16)
-    h, r = resolve_discretization(config, EX51)
-    spec = GridSpec(q=1, h=h, origin=EX51.x0)
-    rule = hermite_rule(8)
-    raw, bounds = _coefficient_bounds(EX51, rule, config.eps0, config.max_picard)
-    window = _make_window(EX51.T, bounds[0], bounds[1], rule.max_abs_node, r, spec)
-    fields = init_terminal(EX51, config, spec, window, rule, r)
+    disc = discretize(EX51, config)
+    fields, seeds = init_terminal(EX51, config, disc)
     assert sorted(fields) == [13, 14, 15, 16]
-    X = grid_points(spec, window)
+    assert seeds == []
+    X = disc.X
     level = 15
     t = level / 16.0
     np.testing.assert_allclose(
@@ -148,6 +142,19 @@ def test_exact_seeding_levels_match_closed_form():
     np.testing.assert_allclose(
         fields[16].y_values.reshape(-1, 1), EX51.phi(X), atol=1e-12
     )
+
+
+def test_result_reports_its_discretization():
+    config = SolverConfig(k=2, N=16)
+    disc = solve(EX51, config).discretization
+    dt = EX51.T / config.N
+    assert disc.r == 6
+    assert disc.h == EX51.grid_scale * dt ** ((config.k + 1) / (disc.r + 1))
+    assert disc.rule.L >= config.L
+    np.testing.assert_array_equal(disc.X, grid_points(disc.spec, disc.window))
+    # x0 is grid index 0; the sweep computes the stencil block around it
+    assert np.all(disc.window.lo <= -disc.r - 1)
+    assert np.all(disc.window.hi >= disc.r + 1)
 
 
 def test_terminal_z_is_sigma_for_linear_payoff():
@@ -284,6 +291,13 @@ def test_outer_iterates_accepted_unconverged_warn_once(caplog):
     assert _unconverged_warnings(caplog, EX51, SolverConfig(k=2, N=16)) == []
 
 
+def test_bootstrap_sub_levels_accepted_unconverged_warn(caplog):
+    config = SolverConfig(k=1, N=8, terminal_mode="bootstrap")
+    warned = _unconverged_warnings(caplog, registry_get("ex54b"), config)
+    assert len(warned) == 1
+    assert "1 of 8 bootstrap sub-levels" in warned[0]
+
+
 def test_coupled_outer_counts_small():
     res = solve(registry_get("ex55"), SolverConfig(k=2, N=16))
     assert res.picard_stats.max_iterations <= 6
@@ -341,18 +355,9 @@ def test_non_finite_f_fails_fast():
 
 
 def _node_count(caplog, problem, config):
-    from fbsde_multistep.quadrature import hermite_rule
-    from fbsde_multistep.solver import _coefficient_bounds, _stable_node_count
-    from fbsde_multistep.spacegrid import GridSpec
-
-    h, _ = resolve_discretization(config, problem)
-    spec = GridSpec(q=problem.q, h=h, origin=problem.x0)
-    raw, _ = _coefficient_bounds(
-        problem, hermite_rule(config.L), config.eps0, config.max_picard
-    )
     caplog.clear()
     with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
-        L = _stable_node_count(problem, config, raw[1], spec.h)
+        L = discretize(problem, config).rule.L
     return L, [rec for rec in caplog.records if rec.levelname == "WARNING"]
 
 
