@@ -26,7 +26,6 @@ from .problems import (
 from .quadrature import (
     GaussHermiteRule,
     NonFiniteIntegrandError,
-    TensorRule,
     expect_gaussian,
     hermite_rule,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "StabilityReport",
-    "TensorRule",
     "UnknownProblemError",
     "ValueField",
     "approx_derivative",

@@ -7,7 +7,6 @@ with the scaling themselves.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,32 +31,6 @@ class GaussHermiteRule:
         return float(np.max(np.abs(self.nodes)))
 
 
-@dataclass(frozen=True)
-class TensorRule:
-    """Lazy d-fold tensorization of a 1-d rule.
-
-    Iteration yields ``(node_vector, weight)`` pairs, weight being the product
-    of the 1-d weights; nothing of size L^d is ever materialized.
-    """
-
-    base: GaussHermiteRule
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-
-    def __len__(self) -> int:
-        return self.base.L**self.d
-
-    def __iter__(self):
-        nodes = self.base.nodes
-        weights = self.base.weights
-        for combo in itertools.product(range(self.base.L), repeat=self.d):
-            idx = list(combo)
-            yield nodes[idx], float(np.prod(weights[idx]))
-
-
 def hermite_rule(L: int) -> GaussHermiteRule:
     """L-point Gauss-Hermite rule, exact for polynomials of degree <= 2L-1.
 
@@ -77,19 +50,33 @@ def hermite_rule(L: int) -> GaussHermiteRule:
 def expect_gaussian(g, d: int, rule: GaussHermiteRule):
     """Approximate E[g(N)] for a standard d-dimensional normal N.
 
-    ``g`` receives each tensor node scaled by sqrt(2) as an ndarray of shape
-    (d,) and may return a scalar or an ndarray of any fixed shape; components
-    are accumulated independently and the pi^(-d/2) normalization is applied
-    at the end.
+    ``g`` is called once with all M = L^d tensor nodes, scaled by sqrt(2), as
+    one (d, M) array: row i holds coordinate i of every node, the last
+    coordinate varying fastest.  It returns an array of any leading shape
+    whose last axis (length M) runs over the nodes.  The weighted values are
+    summed in node order, one vector add per node, and the pi^(-d/2)
+    normalization is applied at the end.
     """
-    acc = None
-    scale = np.sqrt(2.0)
-    for node, weight in TensorRule(base=rule, d=d):
-        value = np.asarray(g(scale * node), dtype=float)
-        if not np.all(np.isfinite(value)):
-            raise NonFiniteIntegrandError(
-                f"integrand returned a non-finite value at node {scale * node}"
-            )
-        acc = weight * value if acc is None else acc + weight * value
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+
+    def tensor(axis):  # (d, L^d): row i is coordinate i, the last one fastest
+        return np.stack(np.meshgrid(*[axis] * d, indexing="ij")).reshape(d, -1)
+
+    nodes = np.sqrt(2.0) * tensor(rule.nodes)
+    weights = tensor(rule.weights).prod(axis=0)
+    M = weights.size
+    values = np.asarray(g(nodes), dtype=float)
+    if values.shape[-1:] != (M,):
+        raise ValueError(f"integrand must return a last axis of {M} nodes, got {values.shape}")
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        first = np.argmax(bad.reshape(-1, M).any(axis=0))
+        raise NonFiniteIntegrandError(
+            f"integrand returned a non-finite value at node {nodes[:, first]}"
+        )
+    acc = weights[0] * values[..., 0]
+    for m in range(1, M):
+        acc = acc + weights[m] * values[..., m]
     result = acc * np.pi ** (-d / 2)
     return float(result) if result.ndim == 0 else result

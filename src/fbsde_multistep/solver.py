@@ -13,9 +13,10 @@ b and sigma at the current (Y, Z) iterate; a decoupled problem's b and sigma
 do not read (Y, Z), so its outer map is constant and one pass is the fixed
 point.
 
-All per-point work is vectorized over the level's grid, so a level is one
-batch of numpy operations; results are bit-reproducible run to run and do
-not depend on any worker-count setting.
+All per-point work is vectorized over the level's grid points and the
+quadrature nodes, so each expectation is one batch of numpy operations;
+results are bit-reproducible run to run and do not depend on any
+worker-count setting.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .multistep import compute_coeffs, stability_report
 from .problems import FbsdeProblem
-from .quadrature import GaussHermiteRule, expect_gaussian, hermite_rule
+from .quadrature import MAX_POINTS, GaussHermiteRule, expect_gaussian, hermite_rule
 from .spacegrid import ActiveWindow, GridSpec, ValueField, grid_points, interpolate_values
 
 logger = logging.getLogger(__name__)
@@ -90,8 +91,10 @@ class SolverConfig:
             raise ConfigError(f"step count k must be in [1, 8], got {self.k}")
         if self.N < self.k + 1:
             raise ConfigError(f"need N >= k+1, got N={self.N}, k={self.k}")
-        if not 1 <= self.L <= 64:
-            raise ConfigError(f"Gauss-Hermite points L must be in [1, 64], got {self.L}")
+        if not 1 <= self.L <= MAX_POINTS:
+            raise ConfigError(
+                f"Gauss-Hermite points L must be in [1, {MAX_POINTS}], got {self.L}"
+            )
         if self.r is not None and self.r < 1:
             raise ConfigError(f"interpolation degree must be >= 1, got {self.r}")
         if self.h is not None and self.h <= 0:
@@ -286,7 +289,7 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
     for _ in range(4):
         if fan <= STABLE_CELLS_PER_NODE * L:
             break
-        L = min(64, max(L + 1, math.ceil(fan / TARGET_CELLS_PER_NODE)))
+        L = min(MAX_POINTS, max(L + 1, math.ceil(fan / TARGET_CELLS_PER_NODE)))
         fan = fan_cells(L)
     if fan > STABLE_CELLS_PER_NODE * L:
         logger.warning(
@@ -433,42 +436,41 @@ class _LevelWorkspace:
     def _expectations(self, dt, b_n, sig_n, history):
         """E[Y^{n+j}] and E[Y^{n+j} dW^T] for j = 1..k via Gauss-Hermite.
 
-        One quadrature pass per j computes both: the integrand packs the
-        interpolated Y next to Y (x) dW, with dW carrying the sqrt(2 j dt)
-        node scaling.
+        One quadrature call per j reads the history field at the whole fan of
+        Euler predictors (every node at every point) in one interpolation call
+        and returns Y (x) (1, dW), dW carrying the sqrt(2 j dt) node scaling.
         """
         problem, disc = self.problem, self.disc
         X, lo, hi = disc.X, disc.lo, disc.hi
-        n = X.shape[0]
-        p, d = problem.p, problem.d
+        n, q, p = X.shape[0], problem.q, problem.p
         EY = np.empty((self.k, n, p))
-        EYW = np.empty((self.k, n, p, d))
+        EYW = np.empty((self.k, n, p, problem.d))
         for j in range(1, self.k + 1):
-            dtj = j * dt
-            base = X + b_n * dtj
+            base = X + b_n * (j * dt)
             fld = history[j]
-            sqrt_dtj = math.sqrt(dtj)
 
-            def integrand(v, base=base, fld=fld, sqrt_dtj=sqrt_dtj):
-                dW = sqrt_dtj * v  # v = sqrt(2) * node, so dW = sqrt(2 j dt) * node
-                Xq = base + np.einsum("nqd,d->nq", sig_n, dW)
+            def integrand(v):
+                M = v.shape[1]
+                dW = math.sqrt(j * dt) * v  # v = sqrt(2) * nodes, shape (d, M)
+                Xq = base + np.einsum("nqd,dm->mnq", sig_n, dW)
                 # Queries escaping the stored hull are deep-tail events (node
                 # weight <= 1.1e-4, many envelope standard deviations out).
                 # They contribute zero rather than a hull-clamped read: clamped
                 # fans at the window edge re-read edge values at full weight,
                 # which is an amplifying feedback for multiplicative noise.
-                inside = np.all((Xq >= lo) & (Xq <= hi), axis=1)
+                inside = np.all((Xq >= lo) & (Xq <= hi), axis=2)
                 np.clip(Xq, lo, hi, out=Xq)
-                Yq = interpolate_values(fld.y_values, fld.window, disc.spec, Xq, disc.r)
-                Yq *= inside[:, None]
-                packed = np.empty((n, p + p * d))
-                packed[:, :p] = Yq
-                packed[:, p:] = (Yq[:, :, None] * dW).reshape(n, p * d)
-                return packed
+                Yq = interpolate_values(
+                    fld.y_values, fld.window, disc.spec, Xq.reshape(M * n, q), disc.r
+                ).reshape(M, n, p)
+                Yq *= inside[:, :, None]
+                factors = np.vstack([np.ones(M), dW]).T  # (M, 1 + d)
+                # Node-major in memory, so each node's slice is contiguous.
+                return np.moveaxis(Yq[:, :, :, None] * factors[:, None, None, :], 0, -1)
 
-            packed = expect_gaussian(integrand, d, disc.rule)
-            EY[j - 1] = packed[:, :p]
-            EYW[j - 1] = packed[:, p:].reshape(n, p, d)
+            moments = expect_gaussian(integrand, problem.d, disc.rule)
+            EY[j - 1] = moments[:, :, 0]
+            EYW[j - 1] = moments[:, :, 1:]
         return EY, EYW
 
     def _implicit_y(self, t_n, X, rhs, Z, y_start, alpha0, level):

@@ -17,6 +17,10 @@ from math import comb
 import numpy as np
 
 
+# Stencil entries (queries times (r+1)^q) per query block of interpolate_values.
+_BLOCK_ENTRIES = 1 << 14
+
+
 class OutOfDomainError(ValueError):
     """A query point lies outside the active window's inflated hull."""
 
@@ -179,7 +183,9 @@ def interpolate_values(
     degree <= r per dimension exactly.
 
     Each query reads its (r+1)^q stencil as one flat gather per trailing
-    column, contracted against the tensor-product basis weights.
+    column, contracted against the tensor-product basis weights.  Queries run
+    in fixed blocks of _BLOCK_ENTRIES stencil entries, so memory stays flat
+    however many one call carries; each row's arithmetic is a one-point call's.
     """
     if r < 1:
         raise ValueError(f"interpolation degree r must be >= 1, got {r}")
@@ -190,8 +196,6 @@ def interpolate_values(
         raise ValueError(f"points must be (n, {spec.q}), got {points.shape}")
     u = spec.to_grid_coords(points)
     _check_in_domain(u, window)
-    starts = _stencil_starts(u, window, r)
-    basis = _barycentric_basis(u, starts, r)
 
     n = points.shape[0]
     q = spec.q
@@ -200,23 +204,28 @@ def interpolate_values(
     strides = np.ones(q, dtype=np.int64)
     for dim in range(q - 2, -1, -1):
         strides[dim] = strides[dim + 1] * ext[dim + 1]
-
-    # Tensor-product stencil: flat offsets and weights, last dimension fastest.
+    # Tensor-product stencil as flat offsets, last dimension fastest.
     offsets = np.arange(r + 1, dtype=np.int64)
     stencil = offsets * strides[0]
-    weights = basis[:, 0, :]
     for dim in range(1, q):
         stencil = (stencil[:, None] + offsets * strides[dim]).ravel()
-        weights = np.einsum("ns,nj->nsj", weights, basis[:, dim]).reshape(n, -1)
-    flat_idx = ((starts - window.lo) @ strides)[:, None] + stencil
 
-    # np.sum rather than einsum: its summation order leaves one-column 1-d
-    # results bitwise equal to a plain stencil sum, so coupled outer loops,
-    # whose exits compare residuals with eps0, take the same passes.
     columns = values.reshape(np.prod(ext, dtype=int), -1).T
     out = np.empty((n, columns.shape[0]))
-    for c, column in enumerate(columns):
-        out[:, c] = np.sum(weights * column[flat_idx], axis=1)
+    block = max(1, _BLOCK_ENTRIES // stencil.size)
+    for first in range(0, n, block):
+        ub = u[first : first + block]
+        starts = _stencil_starts(ub, window, r)
+        basis = _barycentric_basis(ub, starts, r)
+        weights = basis[:, 0, :]
+        for dim in range(1, q):
+            weights = np.einsum("ns,nj->nsj", weights, basis[:, dim]).reshape(len(ub), -1)
+        flat_idx = ((starts - window.lo) @ strides)[:, None] + stencil
+        # np.sum rather than einsum: its summation order leaves one-column 1-d
+        # results bitwise equal to a plain stencil sum, so coupled outer loops,
+        # whose exits compare residuals with eps0, take the same passes.
+        for c, column in enumerate(columns):
+            out[first : first + block, c] = np.sum(weights * column[flat_idx], axis=1)
     return out.reshape((n,) + trailing)
 
 

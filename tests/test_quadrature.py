@@ -1,13 +1,15 @@
 """Gauss-Hermite rules and the Gaussian expectation operator."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde_multistep import (
     NonFiniteIntegrandError,
-    TensorRule,
     expect_gaussian,
     hermite_rule,
 )
@@ -76,23 +78,27 @@ def test_point_count_out_of_range(L):
 def test_tensor_rule_count_and_total_weight():
     rule = hermite_rule(5)
     for d in (1, 2, 3):
-        tensor = TensorRule(base=rule, d=d)
-        assert len(tensor) == 5**d
-        pairs = list(tensor)
-        assert len(pairs) == 5**d
-        total = sum(w for _, w in pairs)
-        assert total == pytest.approx(math.pi ** (d / 2), rel=1e-10)
+        seen = []
+
+        def one(v):
+            seen.append(v.shape)
+            return np.ones(v.shape[1])
+
+        total = expect_gaussian(one, d, rule)
+        assert seen == [(d, 5**d)]
+        assert total == pytest.approx(1.0, rel=1e-10)
 
 
 def test_tensor_rule_rejects_bad_dimension():
     with pytest.raises(ValueError):
-        TensorRule(base=hermite_rule(2), d=0)
+        expect_gaussian(lambda v: np.ones(v.shape[1]), 0, hermite_rule(2))
 
 
 def test_expectation_of_one():
     rule = hermite_rule(4)
     for d in (1, 2):
-        assert expect_gaussian(lambda v: 1.0, d, rule) == pytest.approx(1.0, rel=1e-13)
+        got = expect_gaussian(lambda v: np.ones(v.shape[1]), d, rule)
+        assert got == pytest.approx(1.0, rel=1e-13)
 
 
 def test_expectation_second_moment():
@@ -129,15 +135,70 @@ def test_separable_product_factorizes():
 
 def test_vector_valued_integrand():
     rule = hermite_rule(4)
-    out = expect_gaussian(lambda v: np.array([1.0, v[0] ** 2, v[0] ** 3]), 1, rule)
+    out = expect_gaussian(
+        lambda v: np.stack([np.ones(v.shape[1]), v[0] ** 2, v[0] ** 3]), 1, rule
+    )
     np.testing.assert_allclose(out, [1.0, 1.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matches_per_node_reference_sum(d):
+    # The node-by-node sum in itertools.product order (last coordinate
+    # fastest), with the same arithmetic, is the bitwise reference.
+    rule = hermite_rule(4)
+
+    def g(v):
+        return np.stack([v[0] * v[-1] * v[-1] + 0.5 * v[0], v[-1] * v[-1] * v[-1] - v[0]])
+
+    acc = None
+    for idx in itertools.product(range(rule.L), repeat=d):
+        node = math.sqrt(2.0) * rule.nodes[list(idx)]
+        value = g(node[:, None])[:, 0]
+        weight = float(np.prod(rule.weights[list(idx)]))
+        acc = weight * value if acc is None else acc + weight * value
+    np.testing.assert_array_equal(expect_gaussian(g, d, rule), acc * np.pi ** (-d / 2))
 
 
 def test_non_finite_integrand_reports_node():
     rule = hermite_rule(3)
 
     def bad(v):
-        return np.inf if v[0] > 0 else 1.0
+        return np.where(v[0] > 0, np.inf, 1.0)
 
-    with pytest.raises(NonFiniteIntegrandError):
+    # Only the node at +sqrt(3) (sqrt(2) times the positive root of H3) is bad.
+    with pytest.raises(NonFiniteIntegrandError, match=r"node \[1\.732"):
         expect_gaussian(bad, 1, rule)
+
+
+def test_integrand_without_node_axis_is_rejected():
+    rule = hermite_rule(3)
+    with pytest.raises(ValueError, match="3 nodes"):
+        expect_gaussian(lambda v: 1.0, 1, rule)
+    with pytest.raises(ValueError, match="3 nodes"):
+        expect_gaussian(lambda v: np.ones(2), 1, rule)
+
+
+@st.composite
+def moment_cases(draw):
+    d = draw(st.integers(1, 3))
+    L = draw(st.integers(1, 10))
+    degrees = draw(st.lists(st.integers(0, 2 * L - 1), min_size=d, max_size=d))
+    return d, L, degrees
+
+
+@settings(max_examples=60, deadline=None)
+@given(moment_cases())
+def test_tensor_moments_are_exact(case):
+    # E[prod v_i^a_i] = prod (a_i - 1)!!: rows of the (d, M) node array that
+    # are not independent axes, or weights paired with the wrong nodes, show
+    # as a wrong mixed moment.
+    d, L, degrees = case
+    rule = hermite_rule(L)
+    powers = np.array(degrees)[:, None]
+    got = expect_gaussian(lambda v: np.prod(v**powers, axis=0), d, rule)
+    exact = math.prod(normal_moment(a) for a in degrees)
+    if exact == 0.0:
+        scale = expect_gaussian(lambda v: np.prod(np.abs(v) ** powers, axis=0), d, rule)
+        assert abs(got) <= 1e-12 * scale
+    else:
+        assert got == pytest.approx(exact, rel=1e-10)

@@ -20,6 +20,7 @@ from fbsde_multistep import (
     registry_get,
     solve,
 )
+from fbsde_multistep import solver
 from fbsde_multistep.solver import BOOTSTRAP_MAX_SUBSTEPS, WORKERS_ENV_VAR
 
 EX51 = registry_get("ex51")
@@ -264,6 +265,27 @@ def test_decoupled_level_is_one_pass():
     assert calls == config.N - config.k
     # picard_stats still reports implicit-Y iterations for decoupled problems
     assert result.picard_stats.max_iterations == 10
+
+
+def test_one_gather_per_level_and_step(monkeypatch):
+    # Each (level, j) is one expectation reading the history field in one
+    # interpolation call; two more read (y0, z0) at x0.
+    calls = {"expect": 0, "interp": 0}
+    expect, interp = solver.expect_gaussian, solver.interpolate_values
+
+    def counted_expect(*args):
+        calls["expect"] += 1
+        return expect(*args)
+
+    def counted_interp(*args):
+        calls["interp"] += 1
+        return interp(*args)
+
+    monkeypatch.setattr(solver, "expect_gaussian", counted_expect)
+    monkeypatch.setattr(solver, "interpolate_values", counted_interp)
+    config = SolverConfig(k=2, N=16)
+    solve(EX51, config)
+    assert calls == {"expect": (config.N - config.k) * config.k, "interp": 30}
 
 
 def test_max_outer_bounds_sweep_and_bootstrap_levels():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fbsde_multistep import spacegrid
 from fbsde_multistep import (
     ActiveWindow,
     GridSpec,
@@ -196,6 +197,26 @@ def test_interpolate_value_field_and_bare_array():
     assert bare == pytest.approx(1.69, abs=1e-12)
     with pytest.raises(ValueError):
         interpolate(y[..., 0], spec, [1.3], r=2)
+
+
+@pytest.mark.parametrize("trailing", [(), (2, 3)])
+@pytest.mark.parametrize("r", [1, 6, 10])
+@pytest.mark.parametrize("q", [1, 2])
+def test_query_blocks_match_one_point_calls(q, r, trailing):
+    rng = np.random.default_rng(100 * q + r + len(trailing))
+    spec = GridSpec(q=q, h=[0.25, 0.5][:q], origin=[0.5, -1.0][:q])
+    window = ActiveWindow(lo=[-r - 2] * q, hi=[r + 3] * q)
+    values = rng.normal(size=window.extents + trailing)
+    block = max(1, spacegrid._BLOCK_ENTRIES // (r + 1) ** q)
+    u = rng.uniform(window.lo - 0.49, window.hi + 0.49, size=(3 * block + 7, q))
+    u[::5] = np.rint(u[::5])  # exact node hits take the one-hot branch
+    points = spec.origin + spec.h * u
+    out = interpolate_values(values, window, spec, points, r)
+    edges = {b * block + e for b in (1, 2, 3) for e in (-1, 0)}
+    tail = set(range(len(points) - 7, len(points)))  # the remainder block
+    for i in sorted(set(range(0, len(points), 97)) | edges | tail):
+        one = interpolate_values(values, window, spec, points[i : i + 1], r)
+        np.testing.assert_array_equal(out[i : i + 1], one)
 
 
 def test_value_field_rejects_mismatched_extents():
