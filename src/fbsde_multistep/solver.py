@@ -186,10 +186,6 @@ def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float, cap: i
     Y = np.asarray(problem.phi(X), dtype=float)
     if problem.grad_phi is not None:
         grad = np.asarray(problem.grad_phi(X), dtype=float)
-        if problem.exact_z is not None:
-            z_seed = np.asarray(problem.exact_z(problem.T, X), dtype=float)
-            sig = np.asarray(problem.sigma(problem.T, X, Y, z_seed), dtype=float)
-            return Y, np.einsum("npq,nqd->npd", grad, sig)
         # sigma may read z: resolve Z = grad_phi . sigma(T, x, phi, Z) by fixed point
         Z = np.zeros((X.shape[0], problem.p, problem.d))
         for _ in range(cap):

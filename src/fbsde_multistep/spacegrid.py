@@ -3,16 +3,15 @@
 Grids are conceptually unbounded lattices origin + i*h; an ActiveWindow pins
 down the finite block of multi-indices actually stored at one time level.
 Interpolation is tensor-product Lagrange of degree r per dimension over a
-block of r+1 consecutive grid points, evaluated in barycentric form (stable
-for r up to 15 on equispaced nodes inside the stencil span; extrapolation in
-the half-cell edge band loses accuracy as r grows).
+block of r+1 consecutive grid points, evaluated in product form, which is
+backward stable on the whole stencil span including the half-cell edge band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb
+from math import factorial
 
 import numpy as np
 
@@ -115,7 +114,13 @@ def _stencil_starts(u: np.ndarray, window: ActiveWindow, r: int) -> np.ndarray:
     return np.clip(starts, window.lo, window.hi - r)
 
 
-def _check_in_domain(u: np.ndarray, window: ActiveWindow):
+def _query_coords(spec: GridSpec, window: ActiveWindow, x: np.ndarray, r: int) -> np.ndarray:
+    """Grid coordinates of query points, checked for degree-r stencils in the window."""
+    if r < 1:
+        raise ValueError(f"interpolation degree r must be >= 1, got {r}")
+    if np.any(window.hi - window.lo < r):
+        raise ValueError(f"window too small for degree {r} stencils")
+    u = spec.to_grid_coords(x)
     # Written as the negation of "inside" so that NaN coordinates fail too.
     outside = ~((u >= window.lo - 0.5) & (u <= window.hi + 0.5))
     if np.any(outside):
@@ -125,16 +130,12 @@ def _check_in_domain(u: np.ndarray, window: ActiveWindow):
             f"{tuple(bad[0])}, grid coordinate {u[tuple(bad[0])]:.6g}, "
             f"window [{window.lo.tolist()}, {window.hi.tolist()}])"
         )
+    return u
 
 
 def neighbor_set(spec: GridSpec, window: ActiveWindow, x, r: int) -> np.ndarray:
     """Stencil of (r+1)^q grid multi-indices used to interpolate at x."""
-    if r < 1:
-        raise ValueError(f"interpolation degree r must be >= 1, got {r}")
-    if np.any(window.hi - window.lo < r):
-        raise ValueError(f"window too small for degree {r} stencils")
-    u = spec.to_grid_coords(np.asarray(x, dtype=float).reshape(spec.q))
-    _check_in_domain(u, window)
+    u = _query_coords(spec, window, np.asarray(x, dtype=float).reshape(spec.q), r)
     starts = _stencil_starts(u[None, :], window, r)[0]
     axes = [starts[dim] + np.arange(r + 1) for dim in range(spec.q)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -142,31 +143,30 @@ def neighbor_set(spec: GridSpec, window: ActiveWindow, x, r: int) -> np.ndarray:
 
 
 @cache
-def _barycentric_weights(r: int) -> np.ndarray:
-    """Barycentric weights (-1)^i C(r, i) of the integer nodes 0..r, read-only."""
-    w = np.array([(-1.0) ** i * comb(r, i) for i in range(r + 1)])
-    w.flags.writeable = False
-    return w
+def _lagrange_denominators(r: int) -> np.ndarray:
+    """D_i = prod_{j != i} (i - j) = (-1)^(r-i) i! (r-i)! as a read-only (r+1, 1, 1) array."""
+    d = np.array([(-1.0) ** (r - i) * factorial(i) * factorial(r - i) for i in range(r + 1)])
+    d.flags.writeable = False
+    return d[:, None, None]
 
 
-def _barycentric_basis(u: np.ndarray, starts: np.ndarray, r: int) -> np.ndarray:
+def _lagrange_basis(u: np.ndarray, starts: np.ndarray, r: int) -> np.ndarray:
     """Per-dimension Lagrange basis weights, shape (n, q, r+1).
 
-    Barycentric form on the integer offsets 0..r.  A coordinate that hits a
-    node exactly gets a one-hot row instead; it is kept out of the division,
-    whose denominator can vanish there (r = 1 at the right-hand node).
+    Product form on the integer offsets 0..r: l_i(t) = prod_{j != i} (t - j) / D_i,
+    from prefix and suffix products along a leading node axis.  Nothing divides
+    by t - i, and at a node the integer products are exact (r! < 2^53), so its
+    row comes out exactly one-hot.
     """
-    t = u - starts  # in [-0.5, r + 0.5], so an integral t is a node 0..r
-    hits = np.nonzero(t == np.rint(t))
-    if hits[0].size:
-        node = t[hits].astype(np.int64)
-        t[hits] = 0.5  # placeholder off the nodes; these rows are reset below
-    ratio = _barycentric_weights(r) / (t[..., None] - np.arange(r + 1, dtype=float))
-    basis = ratio / np.sum(ratio, axis=-1, keepdims=True)
-    if hits[0].size:
-        basis[hits] = 0.0
-        basis[hits + (node,)] = 1.0
-    return basis
+    diff = (u - starts) - np.arange(r + 1.0)[:, None, None]  # t - j, (r+1, n, q)
+    prefix, suffix = np.empty_like(diff), np.empty_like(diff)
+    prefix[0] = suffix[r] = 1.0
+    for i in range(r):  # prefix[i] = prod_{j < i} (t - j), suffix[i] = prod_{j > i} (t - j)
+        np.multiply(prefix[i], diff[i], out=prefix[i + 1])
+        np.multiply(suffix[r - i], diff[r - i], out=suffix[r - i - 1])
+    prefix *= suffix
+    prefix /= _lagrange_denominators(r)
+    return np.ascontiguousarray(prefix.transpose(1, 2, 0))
 
 
 def interpolate_values(
@@ -187,15 +187,10 @@ def interpolate_values(
     in fixed blocks of _BLOCK_ENTRIES stencil entries, so memory stays flat
     however many one call carries; each row's arithmetic is a one-point call's.
     """
-    if r < 1:
-        raise ValueError(f"interpolation degree r must be >= 1, got {r}")
-    if np.any(window.hi - window.lo < r):
-        raise ValueError(f"window too small for degree {r} stencils")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != spec.q:
         raise ValueError(f"points must be (n, {spec.q}), got {points.shape}")
-    u = spec.to_grid_coords(points)
-    _check_in_domain(u, window)
+    u = _query_coords(spec, window, points, r)
 
     n = points.shape[0]
     q = spec.q
@@ -216,7 +211,7 @@ def interpolate_values(
     for first in range(0, n, block):
         ub = u[first : first + block]
         starts = _stencil_starts(ub, window, r)
-        basis = _barycentric_basis(ub, starts, r)
+        basis = _lagrange_basis(ub, starts, r)
         weights = basis[:, 0, :]
         for dim in range(1, q):
             weights = np.einsum("ns,nj->nsj", weights, basis[:, dim]).reshape(len(ub), -1)

@@ -164,6 +164,31 @@ def test_terminal_z_is_sigma_for_linear_payoff():
     assert result.z0[0, 0] == pytest.approx(1.3, abs=1e-9)
 
 
+def test_terminal_z_fixed_point_matches_closed_form():
+    # ex55's sigma reads z, so level N's Z is resolved by the fixed point
+    ex55 = registry_get("ex55")
+    config = SolverConfig(k=2, N=8)
+    disc = discretize(ex55, config)
+    fields, _ = init_terminal(ex55, config, disc)
+    z_terminal = fields[config.N].z_values.reshape(-1, ex55.p, ex55.d)
+    np.testing.assert_allclose(z_terminal, ex55.exact_z(ex55.T, disc.X), rtol=0, atol=1e-10)
+
+
+def test_terminal_z_fixed_point_divergence_raises():
+    # Z = grad_phi . sigma = 2 Z + 1 repels its fixed point Z = -1
+    prob = FbsdeProblem(
+        name="expansive", q=1, p=1, d=1,
+        b=lambda t, X, Y, Z: np.zeros_like(X),
+        sigma=lambda t, X, Y, Z: 2.0 * Z + 1.0,
+        f=lambda t, X, Y, Z: np.zeros((X.shape[0], 1)),
+        phi=lambda X: X.copy(),
+        grad_phi=lambda X: np.ones((X.shape[0], 1, 1)),
+        T=1.0, x0=[0.0], coupled=True,
+    )
+    with pytest.raises(PicardDivergenceError, match="terminal Z fixed point"):
+        solve(prob, SolverConfig(k=1, N=4, terminal_mode="bootstrap"))
+
+
 def test_exact_mode_requires_exact_solution():
     prob = registry_get("ex51")
     stripped = FbsdeProblem(
