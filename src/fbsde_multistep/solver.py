@@ -37,10 +37,9 @@ from .spacegrid import ActiveWindow, GridSpec, ValueField, grid_points, interpol
 
 logger = logging.getLogger(__name__)
 
-# Diffusion envelope: windows cover B_b*t + ENVELOPE_FACTOR*B_sigma*sqrt(2t)*a_max
-# per side, with coefficient bounds inflated by BOUND_INFLATION over probed values.
-# Quadrature queries escaping that (weight <= 1.1e-4 each, many effective standard
-# deviations out) are clamped to the stored hull.
+# Diffusion envelope: windows cover B_b*T + ENVELOPE_FACTOR*B_sigma*sqrt(2T)*a_max
+# per side, a_max being the extreme node of the configured (not the raised) rule,
+# with coefficient bounds inflated by BOUND_INFLATION over probed values.
 ENVELOPE_FACTOR = 1.2
 BOUND_INFLATION = 1.5
 EXTRA_MARGIN_CELLS = 5
@@ -186,8 +185,12 @@ def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float, cap: i
     Y = np.asarray(problem.phi(X), dtype=float)
     if problem.grad_phi is not None:
         grad = np.asarray(problem.grad_phi(X), dtype=float)
-        # sigma may read z: resolve Z = grad_phi . sigma(T, x, phi, Z) by fixed point
         Z = np.zeros((X.shape[0], problem.p, problem.d))
+        if not problem.coupled:
+            # construction checked that a decoupled sigma ignores (y, z)
+            sig = np.asarray(problem.sigma(problem.T, X, Y, Z), dtype=float)
+            return Y, np.einsum("npq,nqd->npd", grad, sig)
+        # sigma may read z: resolve Z = grad_phi . sigma(T, x, phi, Z) by fixed point
         for _ in range(cap):
             sig = np.asarray(problem.sigma(problem.T, X, Y, Z), dtype=float)
             Z_new = np.einsum("npq,nqd->npd", grad, sig)
@@ -232,11 +235,19 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
       level operator stable; a warning is logged when the 64-node cap still
       leaves the fan wider than the measured stable bound.
     * Window: one static window covering the diffusion envelope of the whole
-      solve, with the bounds inflated by BOUND_INFLATION.  Every level shares
-      it: a moving (per-level) window would sweep its edge band inward and
-      freeze edge artifacts progressively closer to the evaluation point,
-      whereas a static edge stays a fixed many envelope standard deviations
-      away.
+      solve, B_b*T + ENVELOPE_FACTOR*B_s*sqrt(2T)*a_max per side, with the
+      bounds inflated by BOUND_INFLATION.  a_max is the extreme node of the
+      configured ``config.L`` rule, the same one that sizes the probe box:
+      a raised rule resolves the fan on the grid but holds no more of the
+      diffusion tail, so it does not widen the window.  The half-width is
+      floored at the raised rule's k-step fan reach B_b*k*dt +
+      B_s*sqrt(2k dt)*rule.max_abs_node, so the copy band of points whose
+      fan leaves the hull never reaches x0's stencil; r +
+      EXTRA_MARGIN_CELLS cells are added on each side.  Every level shares
+      the window: a moving (per-level) window would sweep its edge band
+      inward and freeze edge artifacts progressively closer to the
+      evaluation point, whereas a static edge stays a fixed many envelope
+      standard deviations away.
 
     The balancing rule assumes a smooth solution.  A kink in phi
     (``problem.smooth_terminal`` False) is smoothed by the forward diffusion
@@ -265,9 +276,10 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
             ss = np.maximum(ss, np.max(sig, axis=0))
         return bb, ss
 
+    a_max = hermite_rule(config.L).max_abs_node  # the configured rule's tail
     x0 = problem.x0[None, :]
     y0, z0 = _terminal_yz_probe(problem, x0, config.eps0, config.max_picard)
-    half = envelope(*row_bounds(x0, y0, z0), hermite_rule(config.L).max_abs_node) + 1e-8
+    half = envelope(*row_bounds(x0, y0, z0), a_max) + 1e-8
     grids = [
         problem.x0[dim] + np.linspace(-half[dim], half[dim], 17) for dim in range(problem.q)
     ]
@@ -303,7 +315,9 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
         )
     rule = hermite_rule(L)
 
-    half = envelope(BOUND_INFLATION * b_raw, BOUND_INFLATION * s_raw, rule.max_abs_node)
+    b_bound, s_bound = BOUND_INFLATION * b_raw, BOUND_INFLATION * s_raw
+    reach = b_bound * (k * dt) + s_bound * math.sqrt(2.0 * k * dt) * rule.max_abs_node
+    half = np.maximum(envelope(b_bound, s_bound, a_max), reach)
     cells = np.ceil(half / spec.h).astype(np.int64) + r + EXTRA_MARGIN_CELLS
     window = ActiveWindow(lo=-cells, hi=cells)
     return Discretization(
@@ -403,14 +417,14 @@ class _LevelWorkspace:
         return y_next[unsafe], z_next[unsafe]
 
     def _safe_mask(self, dt, b_n, sig_n):
-        """Points whose whole quadrature fan stays inside the j=1 hull.
+        """Points whose quadrature fan stays inside the static hull for all j <= k.
 
         Points failing this (an edge band several envelope standard
-        deviations from the evaluation point) copy the previous level
-        instead of running the scheme: any truncated or clamped read there
-        breaks the signed balance of the multistep weights and can amplify
-        level over level.  The mask also guards the stencil block around the
-        grid center, which must always be scheme-computed.
+        deviations from the evaluation point) take band values instead of
+        running the scheme: any truncated or clamped read there breaks the
+        signed balance of the multistep weights and can amplify level over
+        level.  The mask also guards the stencil block around the grid
+        center, which must always be scheme-computed.
         """
         disc = self.disc
         X = disc.X
@@ -429,15 +443,17 @@ class _LevelWorkspace:
             )
         return safe
 
-    def _expectations(self, dt, b_n, sig_n, history):
+    def _expectations(self, dt, X, b_n, sig_n, history):
         """E[Y^{n+j}] and E[Y^{n+j} dW^T] for j = 1..k via Gauss-Hermite.
 
-        One quadrature call per j reads the history field at the whole fan of
-        Euler predictors (every node at every point) in one interpolation call
-        and returns Y (x) (1, dW), dW carrying the sqrt(2 j dt) node scaling.
+        ``X`` holds the rows to evaluate, ``b_n`` and ``sig_n`` their forward
+        coefficients.  One quadrature call per j reads the history field at
+        the whole fan of Euler predictors (every node at every row) in one
+        interpolation call and returns Y (x) (1, dW), dW carrying the
+        sqrt(2 j dt) node scaling.
         """
         problem, disc = self.problem, self.disc
-        X, lo, hi = disc.X, disc.lo, disc.hi
+        lo, hi = disc.lo, disc.hi
         n, q, p = X.shape[0], problem.q, problem.p
         EY = np.empty((self.k, n, p))
         EYW = np.empty((self.k, n, p, problem.d))
@@ -449,11 +465,13 @@ class _LevelWorkspace:
                 M = v.shape[1]
                 dW = math.sqrt(j * dt) * v  # v = sqrt(2) * nodes, shape (d, M)
                 Xq = base + np.einsum("nqd,dm->mnq", sig_n, dW)
-                # Queries escaping the stored hull are deep-tail events (node
-                # weight <= 1.1e-4, many envelope standard deviations out).
-                # They contribute zero rather than a hull-clamped read: clamped
-                # fans at the window edge re-read edge values at full weight,
-                # which is an amplifying feedback for multiplicative noise.
+                # The safe rows' fans stay inside the hull at the b and sigma
+                # they were selected with, so a query escapes it only on a
+                # coupled level's later pass, whose re-evaluated coefficients
+                # can move a fan.  Such a query contributes zero rather than
+                # a hull-clamped read: clamped fans at the window edge re-read
+                # edge values at full weight, which is an amplifying feedback
+                # for multiplicative noise.
                 inside = np.all((Xq >= lo) & (Xq <= hi), axis=2)
                 np.clip(Xq, lo, hi, out=Xq)
                 Yq = interpolate_values(
@@ -522,21 +540,28 @@ class _LevelWorkspace:
         alpha = self.coeffs.alphas(dt)
         if self._broyden is not None:
             self._broyden.new_level()
-        unsafe = band_y = band_z = None
+        safe = unsafe = band_y = band_z = None
         y_diff = None
         first_delta = None
+        gy, gz = np.empty_like(y_cur), np.empty_like(z_cur)
         for outer in range(self.max_outer):
             b_n = np.asarray(problem.b(t_n, X, y_cur, z_cur), dtype=float)
             sig_n = np.asarray(problem.sigma(t_n, X, y_cur, z_cur), dtype=float)
-            if unsafe is None:
-                unsafe = ~self._safe_mask(dt, b_n, sig_n)
+            if safe is None:
+                # The scheme runs on the safe rows only; the band rows just
+                # take their band values.
+                safe = self._safe_mask(dt, b_n, sig_n)
+                unsafe = ~safe
+                X_safe = X[safe]
                 band_y, band_z = self._band_values(t_n, unsafe, y_next, z_next)
-            EY, EYW = self._expectations(dt, b_n, sig_n, history)
-            gz = np.einsum("j,jnpd->npd", alpha[1:], EYW)
+            EY, EYW = self._expectations(dt, X_safe, b_n[safe], sig_n[safe], history)
+            z_safe = np.einsum("j,jnpd->npd", alpha[1:], EYW)
             rhs = -np.einsum("j,jnp->np", alpha[1:], EY)
-            gy, iters = self._implicit_y(t_n, X, rhs, gz, y_cur, alpha[0], level)
-            gy[unsafe] = band_y
-            gz[unsafe] = band_z
+            y_safe, iters = self._implicit_y(
+                t_n, X_safe, rhs, z_safe, y_cur[safe], alpha[0], level
+            )
+            gy[safe], gz[safe] = y_safe, z_safe
+            gy[unsafe], gz[unsafe] = band_y, band_z
             # For plain iteration |v_{l+1} - v_l| equals the residual
             # |G(v_l) - v_l|, so the residual is the faithful reading of the
             # consecutive-difference tolerance under acceleration.

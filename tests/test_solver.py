@@ -289,7 +289,56 @@ def test_decoupled_level_is_one_pass():
     calls, result = _grid_b_calls(EX51, config)
     assert calls == config.N - config.k
     # picard_stats still reports implicit-Y iterations for decoupled problems
-    assert result.picard_stats.max_iterations == 10
+    # (counted over the scheme-computed rows; the copy band does not iterate)
+    assert result.picard_stats.max_iterations == 8
+
+
+def test_window_is_sized_from_the_diffusion_tail():
+    # k=3, N=64 raises the rule well above L=8; the window follows the
+    # configured rule's tail, not the raised rule's extreme node
+    disc = discretize(EX51, SolverConfig(k=3, N=64))
+    assert disc.rule.L > SolverConfig(k=3, N=64).L
+    assert disc.X.shape[0] == 215
+
+
+def test_wider_envelope_leaves_the_answer_unchanged(monkeypatch):
+    config = SolverConfig(k=3, N=32)
+    base = solve(EX51, config)
+    monkeypatch.setattr(solver, "ENVELOPE_FACTOR", 2.0 * solver.ENVELOPE_FACTOR)
+    wide = solve(EX51, config)
+    assert wide.discretization.X.shape[0] > base.discretization.X.shape[0]
+    np.testing.assert_allclose(wide.y0, base.y0, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(wide.z0, base.z0, rtol=1e-12, atol=0)
+
+
+def test_scheme_runs_on_safe_rows_only(monkeypatch):
+    # every call of f in the sweep sees exactly the rows whose fan stays in
+    # the hull; the copy band is never iterated
+    events = []
+    safe_mask = solver._LevelWorkspace._safe_mask
+
+    def recorded_mask(self, *args):
+        mask = safe_mask(self, *args)
+        events.append(("mask", mask))
+        return mask
+
+    def f(t, X, Y, Z):
+        events.append(("f", X.copy()))
+        return EX51.f(t, X, Y, Z)
+
+    monkeypatch.setattr(solver._LevelWorkspace, "_safe_mask", recorded_mask)
+    config = SolverConfig(k=3, N=16)
+    disc = solve(dataclasses.replace(EX51, f=f), config).discretization
+    n = disc.X.shape[0]
+    assert [kind for kind, _ in events].count("mask") == config.N - config.k
+    assert events[0][0] == "mask"
+    mask = None
+    for kind, value in events:
+        if kind == "mask":
+            mask = value
+            assert 0 < mask.sum() < n
+        else:
+            np.testing.assert_array_equal(value, disc.X[mask])
 
 
 def test_one_gather_per_level_and_step(monkeypatch):
@@ -339,10 +388,10 @@ def test_outer_iterates_accepted_unconverged_warn_once(caplog):
 
 
 def test_bootstrap_sub_levels_accepted_unconverged_warn(caplog):
-    config = SolverConfig(k=1, N=8, terminal_mode="bootstrap")
+    config = SolverConfig(k=1, N=8, terminal_mode="bootstrap", max_outer=4)
     warned = _unconverged_warnings(caplog, registry_get("ex54b"), config)
     assert len(warned) == 1
-    assert "1 of 8 bootstrap sub-levels" in warned[0]
+    assert "8 of 8 bootstrap sub-levels" in warned[0]
 
 
 def test_coupled_outer_counts_small():
