@@ -185,12 +185,8 @@ def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float, cap: i
     Y = np.asarray(problem.phi(X), dtype=float)
     if problem.grad_phi is not None:
         grad = np.asarray(problem.grad_phi(X), dtype=float)
-        Z = np.zeros((X.shape[0], problem.p, problem.d))
-        if not problem.coupled:
-            # construction checked that a decoupled sigma ignores (y, z)
-            sig = np.asarray(problem.sigma(problem.T, X, Y, Z), dtype=float)
-            return Y, np.einsum("npq,nqd->npd", grad, sig)
         # sigma may read z: resolve Z = grad_phi . sigma(T, x, phi, Z) by fixed point
+        Z = np.zeros((X.shape[0], problem.p, problem.d))
         for _ in range(cap):
             sig = np.asarray(problem.sigma(problem.T, X, Y, Z), dtype=float)
             Z_new = np.einsum("npq,nqd->npd", grad, sig)
@@ -216,6 +212,11 @@ def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float, cap: i
 # past the trigger get enough extra nodes to land well inside that bound.
 STABLE_CELLS_PER_NODE = 0.85
 TARGET_CELLS_PER_NODE = 0.55
+
+
+def _fan_reach(b_bound, s_bound, k, dt, max_node):
+    """Per-axis reach of the k-step quadrature fan, B_b*k*dt + B_s*sqrt(2k dt)*max_node."""
+    return b_bound * (k * dt) + s_bound * (math.sqrt(2.0 * k * dt) * max_node)
 
 
 def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
@@ -289,8 +290,8 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
     b_raw, s_raw = row_bounds(X, Y, Z)
 
     def fan_cells(L):
-        a_max = hermite_rule(L).max_abs_node
-        return float(np.max(s_raw * math.sqrt(2.0 * k * dt) * a_max / spec.h))
+        node = hermite_rule(L).max_abs_node
+        return float(np.max(s_raw * math.sqrt(2.0 * k * dt) * node / spec.h))
 
     L = config.L
     fan = fan_cells(L)
@@ -316,7 +317,7 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
     rule = hermite_rule(L)
 
     b_bound, s_bound = BOUND_INFLATION * b_raw, BOUND_INFLATION * s_raw
-    reach = b_bound * (k * dt) + s_bound * math.sqrt(2.0 * k * dt) * rule.max_abs_node
+    reach = _fan_reach(b_bound, s_bound, k, dt, rule.max_abs_node)
     half = np.maximum(envelope(b_bound, s_bound, a_max), reach)
     cells = np.ceil(half / spec.h).astype(np.int64) + r + EXTRA_MARGIN_CELLS
     window = ActiveWindow(lo=-cells, hi=cells)
@@ -428,8 +429,8 @@ class _LevelWorkspace:
         """
         disc = self.disc
         X = disc.X
-        reach = np.abs(b_n) * (self.k * dt) + np.abs(sig_n).sum(axis=2) * (
-            math.sqrt(2.0 * self.k * dt) * disc.rule.max_abs_node
+        reach = _fan_reach(
+            np.abs(b_n), np.abs(sig_n).sum(axis=2), self.k, dt, disc.rule.max_abs_node
         )
         safe = np.all((X - reach >= disc.lo) & (X + reach <= disc.hi), axis=1)
         center = safe.reshape(disc.window.extents)
@@ -446,11 +447,11 @@ class _LevelWorkspace:
     def _expectations(self, dt, X, b_n, sig_n, history):
         """E[Y^{n+j}] and E[Y^{n+j} dW^T] for j = 1..k via Gauss-Hermite.
 
-        ``X`` holds the rows to evaluate, ``b_n`` and ``sig_n`` their forward
-        coefficients.  One quadrature call per j reads the history field at
-        the whole fan of Euler predictors (every node at every row) in one
-        interpolation call and returns Y (x) (1, dW), dW carrying the
-        sqrt(2 j dt) node scaling.
+        ``X`` holds the rows to evaluate, safe under ``b_n`` and ``sig_n``,
+        their forward coefficients.  One quadrature call per j reads the
+        history field at the whole fan of Euler predictors (every node at
+        every row) in one interpolation call and returns Y (x) (1, dW), dW
+        carrying the sqrt(2 j dt) node scaling.
         """
         problem, disc = self.problem, self.disc
         lo, hi = disc.lo, disc.hi
@@ -465,19 +466,13 @@ class _LevelWorkspace:
                 M = v.shape[1]
                 dW = math.sqrt(j * dt) * v  # v = sqrt(2) * nodes, shape (d, M)
                 Xq = base + np.einsum("nqd,dm->mnq", sig_n, dW)
-                # The safe rows' fans stay inside the hull at the b and sigma
-                # they were selected with, so a query escapes it only on a
-                # coupled level's later pass, whose re-evaluated coefficients
-                # can move a fan.  Such a query contributes zero rather than
-                # a hull-clamped read: clamped fans at the window edge re-read
-                # edge values at full weight, which is an amplifying feedback
-                # for multiplicative noise.
-                inside = np.all((Xq >= lo) & (Xq <= hi), axis=2)
+                # The rows come from the safe mask of these b and sigma, so
+                # every fan lies inside the hull; the clip only absorbs
+                # rounding at its edge.
                 np.clip(Xq, lo, hi, out=Xq)
                 Yq = interpolate_values(
                     fld.y_values, fld.window, disc.spec, Xq.reshape(M * n, q), disc.r
                 ).reshape(M, n, p)
-                Yq *= inside[:, :, None]
                 factors = np.vstack([np.ones(M), dW]).T  # (M, 1 + d)
                 # Node-major in memory, so each node's slice is contiguous.
                 return np.moveaxis(Yq[:, :, :, None] * factors[:, None, None, :], 0, -1)
@@ -540,20 +535,27 @@ class _LevelWorkspace:
         alpha = self.coeffs.alphas(dt)
         if self._broyden is not None:
             self._broyden.new_level()
-        safe = unsafe = band_y = band_z = None
+        safe = None
         y_diff = None
         first_delta = None
         gy, gz = np.empty_like(y_cur), np.empty_like(z_cur)
         for outer in range(self.max_outer):
             b_n = np.asarray(problem.b(t_n, X, y_cur, z_cur), dtype=float)
             sig_n = np.asarray(problem.sigma(t_n, X, y_cur, z_cur), dtype=float)
-            if safe is None:
-                # The scheme runs on the safe rows only; the band rows just
-                # take their band values.
-                safe = self._safe_mask(dt, b_n, sig_n)
+            # The scheme runs on the safe rows only; the band rows just take
+            # their band values.  A coupled level's later pass re-evaluates b
+            # and sigma, which can move a safe row's fan out of the hull: the
+            # row then joins the band for the rest of the level, its iterate
+            # pinned to the band value.
+            mask = self._safe_mask(dt, b_n, sig_n)
+            if safe is None or np.any(safe & ~mask):
+                safe = mask if safe is None else safe & mask
                 unsafe = ~safe
                 X_safe = X[safe]
                 band_y, band_z = self._band_values(t_n, unsafe, y_next, z_next)
+                if outer > 0:
+                    y_cur[unsafe] = band_y
+                    z_cur[unsafe] = band_z
             EY, EYW = self._expectations(dt, X_safe, b_n[safe], sig_n[safe], history)
             z_safe = np.einsum("j,jnpd->npd", alpha[1:], EYW)
             rhs = -np.einsum("j,jnp->np", alpha[1:], EY)

@@ -341,6 +341,36 @@ def test_scheme_runs_on_safe_rows_only(monkeypatch):
             np.testing.assert_array_equal(value, disc.X[mask])
 
 
+def test_safe_row_fans_stay_inside_the_hull(monkeypatch):
+    # a coupled level's later passes re-evaluate b and sigma; every fan the
+    # scheme reads, on every pass of sweep and bootstrap levels, must still
+    # lie inside the stored hull
+    passes = []
+    expectations = solver._LevelWorkspace._expectations
+
+    def checked(self, dt, X, b_n, sig_n, history):
+        disc = self.disc
+        v = math.sqrt(2.0) * disc.rule.nodes
+        tol = 1e-12 * disc.h
+        for j in range(1, self.k + 1):
+            Xq = (X + b_n * (j * dt))[:, :, None] + sig_n[:, :, 0, None] * (
+                math.sqrt(j * dt) * v
+            )
+            assert np.all(Xq >= disc.lo[None, :, None] - tol)
+            assert np.all(Xq <= disc.hi[None, :, None] + tol)
+        passes.append(X.shape[0])
+        return expectations(self, dt, X, b_n, sig_n, history)
+
+    monkeypatch.setattr(solver._LevelWorkspace, "_expectations", checked)
+    config = SolverConfig(k=1, N=8, terminal_mode="bootstrap")
+    ex54b = registry_get("ex54b")
+    assert ex54b.d == 1
+    solve(ex54b, config)
+    # several passes per level, and some pass moved rows into the band
+    assert len(passes) > 2 * config.N
+    assert len(set(passes)) > 1
+
+
 def test_one_gather_per_level_and_step(monkeypatch):
     # Each (level, j) is one expectation reading the history field in one
     # interpolation call; two more read (y0, z0) at x0.
