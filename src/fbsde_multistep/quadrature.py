@@ -7,6 +7,7 @@ with the scaling themselves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,24 +48,39 @@ def hermite_rule(L: int) -> GaussHermiteRule:
     return GaussHermiteRule(L=L, nodes=nodes, weights=weights)
 
 
+@functools.cache
+def _tensor_rule(L: int, d: int):
+    """Read-only (d, L^d) scaled nodes and (L^d,) weights of the L-point tensor rule.
+
+    Row i of the nodes is coordinate i of every node, the last coordinate
+    varying fastest; a rule is determined by L, so one copy per (L, d) serves
+    every call.
+    """
+    rule = hermite_rule(L)
+
+    def tensor(axis):
+        return np.stack(np.meshgrid(*[axis] * d, indexing="ij")).reshape(d, -1)
+
+    nodes = np.sqrt(2.0) * tensor(rule.nodes)
+    weights = tensor(rule.weights).prod(axis=0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def expect_gaussian(g, d: int, rule: GaussHermiteRule):
     """Approximate E[g(N)] for a standard d-dimensional normal N.
 
     ``g`` is called once with all M = L^d tensor nodes, scaled by sqrt(2), as
-    one (d, M) array: row i holds coordinate i of every node, the last
-    coordinate varying fastest.  It returns an array of any leading shape
-    whose last axis (length M) runs over the nodes.  The weighted values are
+    one read-only (d, M) array: row i holds coordinate i of every node, the
+    last coordinate varying fastest.  It returns an array of any leading
+    shape whose last axis (length M) runs over the nodes.  The weighted values are
     summed in node order, one vector add per node, and the pi^(-d/2)
     normalization is applied at the end.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-
-    def tensor(axis):  # (d, L^d): row i is coordinate i, the last one fastest
-        return np.stack(np.meshgrid(*[axis] * d, indexing="ij")).reshape(d, -1)
-
-    nodes = np.sqrt(2.0) * tensor(rule.nodes)
-    weights = tensor(rule.weights).prod(axis=0)
+    nodes, weights = _tensor_rule(rule.L, d)
     M = weights.size
     values = np.asarray(g(nodes), dtype=float)
     if values.shape[-1:] != (M,):

@@ -598,23 +598,31 @@ class _LevelWorkspace:
         )
 
 
-def _bootstrap_field(problem, config, disc, terminal, level):
-    """Fill one seed level by a fine k=1 solve of [t_level, T].
+def _bootstrap_chain(problem, config, disc, terminal):
+    """Seed levels N-1 .. N-k from one fine k=1 solve of [t_{N-k}, T].
 
-    The sub-partition has M = min(cap, N^k) uniform steps so the first-order
-    seeding error stays under the order-k target at desk scale.  The
-    sub-solve starts from the terminal field and runs on the same static
-    window as the main sweep.  Returns the field and the sub-solve's
-    workspace, whose counters the solve reports.
+    The chain starts from the terminal field and takes M uniform steps of
+    k*dt/M on the same static window as the main sweep, M = min(cap, N^k)
+    rounded down to a multiple of k, so the first-order seeding error stays
+    under the order-k target at desk scale.  Every M/k steps a sub-level
+    lands on a seed level's time t_{N-i} and is kept as level N-i.  Returns
+    the seed fields by level and the chain's workspace, whose counters the
+    solve reports.
     """
-    t_level = level * (problem.T / config.N)
-    M = min(BOOTSTRAP_MAX_SUBSTEPS, config.N**config.k)
-    delta = (problem.T - t_level) / M
+    N, k = config.N, config.k
+    t_start = (N - k) * (problem.T / N)
+    M = min(BOOTSTRAP_MAX_SUBSTEPS, N**k) // k * k
+    per_seed = M // k
+    delta = (problem.T - t_start) / M
     ws = _LevelWorkspace(problem, disc, compute_coeffs(1), config)
+    seeds = {}
     field = terminal
     for m in range(M - 1, -1, -1):
-        field = ws.step(m, t_level + m * delta, delta, {1: field})
-    return replace(field, level=level), ws
+        field = ws.step(m, t_start + m * delta, delta, {1: field})
+        if m % per_seed == 0:
+            level = N - k + m // per_seed
+            seeds[level] = replace(field, level=level)
+    return seeds, ws
 
 
 def init_terminal(problem, config, disc):
@@ -625,10 +633,11 @@ def init_terminal(problem, config, disc):
     interpolates the level-N field itself: terminal functions with kinks
     (e.g. call payoffs) would otherwise leak O(h)-size interpolation error
     into every high-order run.  Seeds come from the exact solution or from
-    fine k=1 bootstrap solves of [t_level, T] anchored at the payoff.
+    one fine k=1 bootstrap chain over [t_{N-k}, T] anchored at the payoff,
+    whose sub-levels land on the seed levels.
 
-    Returns the fields by level and the bootstrap workspaces (none under
-    exact seeding).
+    Returns the fields by level and the bootstrap chain's workspace (None
+    under exact seeding).
     """
     N, k = config.N, config.k
     dt = problem.T / N
@@ -644,28 +653,24 @@ def init_terminal(problem, config, disc):
     X = disc.X
     Y, Z = _terminal_yz_probe(problem, X, config.eps0, config.max_picard)
     fields = {N: disc.field(problem, N, Y, Z)}
-    seeds = []
-    for i in range(1, k + 1):
-        level = N - i
-        if config.terminal_mode == "exact":
-            t = level * dt
-            Y, Z = problem.exact_y(t, X), problem.exact_z(t, X)
-            fields[level] = disc.field(problem, level, Y, Z)
-        else:
-            fields[level], ws = _bootstrap_field(problem, config, disc, fields[N], level)
-            seeds.append(ws)
-    return fields, seeds
+    if config.terminal_mode == "bootstrap":
+        seeds, chain = _bootstrap_chain(problem, config, disc, fields[N])
+        fields.update(seeds)
+        return fields, chain
+    for level in range(N - 1, N - k - 1, -1):
+        t = level * dt
+        Y, Z = problem.exact_y(t, X), problem.exact_z(t, X)
+        fields[level] = disc.field(problem, level, Y, Z)
+    return fields, None
 
 
-def _warn_unconverged(config, sweep, seeds):
+def _warn_unconverged(config, sweep, chain):
     """One warning for the outer iterates a solve accepted at or above eps0."""
     parts, residuals = [], []
-    for what, group in (("sweep levels", [sweep]), ("bootstrap sub-levels", seeds)):
-        accepted = [res for ws in group for res in ws.unconverged]
-        if accepted:
-            total = sum(len(ws.picard_counts) for ws in group)
-            parts.append(f"{len(accepted)} of {total} {what}")
-            residuals += accepted
+    for what, ws in (("sweep levels", sweep), ("bootstrap sub-levels", chain)):
+        if ws is not None and ws.unconverged:
+            parts.append(f"{len(ws.unconverged)} of {len(ws.picard_counts)} {what}")
+            residuals += ws.unconverged
     if parts:
         logger.warning(
             "%s accepted an outer iterate with residual >= eps0=%g (largest %.3g) "
@@ -692,14 +697,14 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
 
     N, k = config.N, config.k
     dt = problem.T / N
-    fields, seeds = init_terminal(problem, config, disc)
+    fields, chain = init_terminal(problem, config, disc)
     ws = _LevelWorkspace(
         problem, disc, coeffs, config, band_exact=config.terminal_mode == "exact"
     )
     for n in range(N - k - 1, -1, -1):
         fields[n] = ws.step(n, n * dt, dt, {j: fields[n + j] for j in range(1, k + 1)})
         del fields[n + k]
-    _warn_unconverged(config, ws, seeds)
+    _warn_unconverged(config, ws, chain)
 
     final = fields[0]
     x0 = problem.x0[None, :]

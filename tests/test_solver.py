@@ -130,9 +130,9 @@ def test_table_values_ex51_k4():
 def test_exact_seeding_levels_match_closed_form():
     config = SolverConfig(k=3, N=16)
     disc = discretize(EX51, config)
-    fields, seeds = init_terminal(EX51, config, disc)
+    fields, chain = init_terminal(EX51, config, disc)
     assert sorted(fields) == [13, 14, 15, 16]
-    assert seeds == []
+    assert chain is None
     X = disc.X
     level = 15
     t = level / 16.0
@@ -215,7 +215,8 @@ def test_bootstrap_requires_grad_phi():
 def test_bootstrap_close_to_exact_seeding():
     exact = solve(EX51, SolverConfig(k=2, N=16, terminal_mode="exact"))
     boot = solve(EX51, SolverConfig(k=2, N=16, terminal_mode="bootstrap"))
-    # first-order seeding on a 4096-substep mesh stays within a small factor
+    # first-order seeding on a chain of N^k = 256 sub-steps over [t_{N-2}, T]
+    # stays within a small factor
     assert abs(boot.y0[0] - exact.y0[0]) < 20 * exact.err_y[0] + 1e-8
 
 
@@ -396,8 +397,50 @@ def test_max_outer_bounds_sweep_and_bootstrap_levels():
     config = SolverConfig(k=2, N=8, max_outer=1, terminal_mode="bootstrap")
     calls, result = _grid_b_calls(registry_get("ex54a"), config)
     substeps = min(BOOTSTRAP_MAX_SUBSTEPS, config.N**config.k)
-    assert calls == (config.N - config.k) + config.k * substeps
+    # one b call per sweep level and per sub-level of the single seeding chain
+    assert calls == (config.N - config.k) + substeps
+    assert calls == 70
     assert result.picard_stats.max_iterations == 1
+
+
+@pytest.mark.parametrize("k, N, cap, substeps", [(2, 8, None, 64), (3, 6, 10, 9)])
+def test_bootstrap_chain_lands_on_seed_levels(monkeypatch, k, N, cap, substeps):
+    # One k=1 chain of M steps over [t_{N-k}, T] seeds every level: its
+    # coarsest seed is the plain sub-solve of [t_{N-k}, T], and each seed N-i
+    # is the chain's sub-level at t_{N-i}.  A cap that k does not divide
+    # rounds M down to a multiple of k.
+    if cap is not None:
+        monkeypatch.setattr(solver, "BOOTSTRAP_MAX_SUBSTEPS", cap)
+    config = SolverConfig(k=k, N=N, terminal_mode="bootstrap")
+    calls, _ = _grid_b_calls(EX51, config)
+    assert calls == (N - k) + substeps
+    disc = discretize(EX51, config)
+    steps = []
+    step = solver._LevelWorkspace.step
+
+    def recorded(self, level, t_n, dt, history):
+        field = step(self, level, t_n, dt, history)
+        steps.append((t_n, field))
+        return field
+
+    monkeypatch.setattr(solver._LevelWorkspace, "step", recorded)
+    fields, chain = init_terminal(EX51, config, disc)
+    assert len(steps) == len(chain.picard_counts) == substeps
+    dt = EX51.T / N
+    for i in range(1, k + 1):
+        seed = fields[N - i]
+        assert seed.level == N - i
+        [t_seed] = [t for t, f in steps if f.y_values is seed.y_values]
+        assert abs(t_seed - (N - i) * dt) <= 1e-14 * EX51.T
+
+    t_start = (N - k) * dt
+    delta = (EX51.T - t_start) / substeps
+    ws = solver._LevelWorkspace(EX51, disc, solver.compute_coeffs(1), config)
+    field = fields[N]
+    for m in range(substeps - 1, -1, -1):
+        field = ws.step(m, t_start + m * delta, delta, {1: field})
+    np.testing.assert_array_equal(fields[N - k].y_values, field.y_values)
+    np.testing.assert_array_equal(fields[N - k].z_values, field.z_values)
 
 
 def _unconverged_warnings(caplog, problem, config):
