@@ -14,7 +14,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,6 +26,29 @@ CSV_HEADER = "problem,k,N,component,err_y,err_z,runtime_s,picard_max"
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
+
+
+# One SolverConfig override: its config key (the flag is the key with '-' for
+# '_'), the RunSpec and SolverConfig field it sets, its value parser, and the
+# flag's help text and choices.
+class _Override(NamedTuple):
+    key: str
+    field: str
+    parse: Callable
+    help: str
+    choices: Optional[tuple[str, ...]] = None
+
+
+SOLVER_OVERRIDES = (
+    _Override("gh_points", "L", int, "Gauss-Hermite points per dimension (default 8)"),
+    _Override("interp_degree", "r", int, "Lagrange degree r (default: balancing policy)"),
+    _Override("grid_h", "h", float, "grid spacing (default: balancing policy)"),
+    _Override("tol", "eps0", float, "Picard tolerance eps0"),
+    _Override("terminal", "terminal_mode", str, "terminal seeding mode", ("exact", "bootstrap")),
+)
+
+# Options that describe the run rather than the solver.
+RUN_KEYS = ("problem", "k", "N", "format", "out", "parallel_cells")
 
 
 @dataclass(frozen=True)
@@ -56,16 +79,10 @@ class RunSpec:
 
     def solver_config(self, k: int, N: int) -> SolverConfig:
         kwargs = {}
-        if self.L is not None:
-            kwargs["L"] = self.L
-        if self.r is not None:
-            kwargs["r"] = self.r
-        if self.h is not None:
-            kwargs["h"] = self.h
-        if self.eps0 is not None:
-            kwargs["eps0"] = self.eps0
-        if self.terminal_mode is not None:
-            kwargs["terminal_mode"] = self.terminal_mode
+        for row in SOLVER_OVERRIDES:
+            value = getattr(self, row.field)
+            if value is not None:
+                kwargs[row.field] = value
         return SolverConfig(k=k, N=N, **kwargs)
 
 
@@ -119,22 +136,16 @@ def _run_cell(problem_name: str, k: int, N: int, spec: RunSpec) -> CellResult:
     try:
         result = solve(problem, config)
     except PicardDivergenceError:
-        return CellResult(
-            k=k, N=N, err_y=None, err_z=None,
-            runtime=time.perf_counter() - started, picard_max=config.max_picard,
-            diverged=True,
-        )
-    err_y = result.err_y
+        result = None
+        runtime, picard_max = time.perf_counter() - started, config.max_picard
+    else:
+        runtime, picard_max = result.runtime, result.picard_stats.max_iterations
+    if result is None or (result.err_y is not None and not np.all(np.isfinite(result.err_y))):
+        return CellResult(k=k, N=N, err_y=None, err_z=None, runtime=runtime,
+                          picard_max=picard_max, diverged=True)
     err_z = None if result.err_z is None else np.max(np.abs(result.err_z), axis=1)
-    if err_y is not None and not np.all(np.isfinite(err_y)):
-        return CellResult(
-            k=k, N=N, err_y=None, err_z=None, runtime=result.runtime,
-            picard_max=result.picard_stats.max_iterations, diverged=True,
-        )
-    return CellResult(
-        k=k, N=N, err_y=err_y, err_z=err_z, runtime=result.runtime,
-        picard_max=result.picard_stats.max_iterations,
-    )
+    return CellResult(k=k, N=N, err_y=result.err_y, err_z=err_z, runtime=runtime,
+                      picard_max=picard_max)
 
 
 def run(spec: RunSpec) -> ConvergenceReport:
@@ -278,16 +289,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--problem", help=f"one of: {', '.join(registry_names())}")
     parser.add_argument("--k", help="comma-separated step counts, e.g. 1,2,3")
     parser.add_argument("--N", help="comma-separated time-step counts, e.g. 16,32,64")
-    parser.add_argument("--gh-points", type=int, dest="gh_points",
-                        help="Gauss-Hermite points per dimension (default 8)")
-    parser.add_argument("--interp-degree", type=int, dest="interp_degree",
-                        help="Lagrange degree r (default: balancing policy)")
-    parser.add_argument("--grid-h", type=float, dest="grid_h",
-                        help="grid spacing (default: balancing policy)")
-    parser.add_argument("--tol", type=float, help="Picard tolerance eps0")
-    parser.add_argument("--terminal", choices=["exact", "bootstrap"],
-                        help="terminal seeding mode")
-    parser.add_argument("--format", choices=["csv", "markdown"], dest="fmt")
+    for row in SOLVER_OVERRIDES:
+        parser.add_argument("--" + row.key.replace("_", "-"), dest=row.key,
+                            type=row.parse, choices=row.choices, help=row.help)
+    parser.add_argument("--format", choices=["csv", "markdown"])
     parser.add_argument("--out", help="output path (written atomically)")
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--parallel-cells", action="store_true", default=None,
@@ -296,20 +301,18 @@ def build_parser() -> _Parser:
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    options = {}
-    if args.config:
-        options.update(parse_config_file(args.config))
-    cli = {
-        "problem": args.problem, "k": args.k, "N": args.N,
-        "gh_points": args.gh_points, "interp_degree": args.interp_degree,
-        "grid_h": args.grid_h, "tol": args.tol, "terminal": args.terminal,
-        "format": args.fmt, "out": args.out, "parallel_cells": args.parallel_cells,
-    }
-    options.update({key: value for key, value in cli.items() if value is not None})
+    """Config-file options overlaid by the flags given on the command line."""
+    options = parse_config_file(args.config) if args.config else {}
+    options.update(
+        {key: value for key, value in vars(args).items() if key != "config" and value is not None}
+    )
     return options
 
 
 def spec_from_options(options: dict) -> RunSpec:
+    unknown = set(options) - set(RUN_KEYS) - {row.key for row in SOLVER_OVERRIDES}
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     missing = [key for key in ("problem", "k", "N") if key not in options]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join(missing)}")
@@ -320,18 +323,16 @@ def spec_from_options(options: dict) -> RunSpec:
         except KeyError:
             raise ConfigError(f"bad boolean {parallel!r} for parallel_cells") from None
     try:
+        overrides = {row.field: row.parse(options[row.key])
+                     for row in SOLVER_OVERRIDES if row.key in options}
         return RunSpec(
             problem=str(options["problem"]),
             ks=_parse_int_list(options["k"]),
             Ns=_parse_int_list(options["N"]),
-            L=int(options["gh_points"]) if "gh_points" in options else None,
-            r=int(options["interp_degree"]) if "interp_degree" in options else None,
-            h=float(options["grid_h"]) if "grid_h" in options else None,
-            eps0=float(options["tol"]) if "tol" in options else None,
-            terminal_mode=options.get("terminal"),
             out=options.get("out"),
             fmt=options.get("format", "csv"),
             parallel_cells=bool(parallel),
+            **overrides,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

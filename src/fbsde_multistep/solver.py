@@ -454,7 +454,6 @@ class _LevelWorkspace:
         carrying the sqrt(2 j dt) node scaling.
         """
         problem, disc = self.problem, self.disc
-        lo, hi = disc.lo, disc.hi
         n, q, p = X.shape[0], problem.q, problem.p
         EY = np.empty((self.k, n, p))
         EYW = np.empty((self.k, n, p, problem.d))
@@ -466,10 +465,6 @@ class _LevelWorkspace:
                 M = v.shape[1]
                 dW = math.sqrt(j * dt) * v  # v = sqrt(2) * nodes, shape (d, M)
                 Xq = base + np.einsum("nqd,dm->mnq", sig_n, dW)
-                # The rows come from the safe mask of these b and sigma, so
-                # every fan lies inside the hull; the clip only absorbs
-                # rounding at its edge.
-                np.clip(Xq, lo, hi, out=Xq)
                 Yq = interpolate_values(
                     fld.y_values, fld.window, disc.spec, Xq.reshape(M * n, q), disc.r
                 ).reshape(M, n, p)

@@ -1,24 +1,40 @@
 """Rate fitting, CSV emission, config handling, and the CLI surface."""
 
 import csv
+import dataclasses
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fbsde_multistep import ConfigError, RunSpec, fit_rate, run
+from fbsde_multistep import ConfigError, RunSpec, SolverConfig, fit_rate, run
 from fbsde_multistep.bench import (
     CSV_HEADER,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
+    SOLVER_OVERRIDES,
+    build_parser,
     main,
     parse_config_file,
     render_csv,
     spec_from_options,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# (flag without "--", its text value, SolverConfig field, parsed value)
+OVERRIDE_CASES = [
+    ("gh-points", "6", "L", 6),
+    ("interp-degree", "5", "r", 5),
+    ("grid-h", "0.05", "h", 0.05),
+    ("tol", "1e-10", "eps0", 1e-10),
+    ("terminal", "bootstrap", "terminal_mode", "bootstrap"),
+]
 
 
 def test_fit_rate_exact_power_law():
@@ -221,3 +237,64 @@ def test_render_csv_header_is_exact():
     from fbsde_multistep.bench import ConvergenceReport
     report = ConvergenceReport(problem="ex51", components=1)
     assert render_csv(report).splitlines()[0] == CSV_HEADER
+
+
+def test_cli_unknown_config_key_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("problem = ex51\nk = 1\nN = 8,16\ngh_point = 3\ntolerance = 1e-3\n")
+    assert main(["--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "gh_point" in err
+    assert "tolerance" in err
+
+
+def test_override_cases_cover_every_table_row():
+    keys = [flag.replace("-", "_") for flag, *_ in OVERRIDE_CASES]
+    assert keys == [row.key for row in SOLVER_OVERRIDES]
+    assert [field for _, _, field, _ in OVERRIDE_CASES] == [row.field for row in SOLVER_OVERRIDES]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, text, field, value", OVERRIDE_CASES)
+def test_every_override_reaches_the_solver(tmp_path, monkeypatch, source, flag, text, field, value):
+    from fbsde_multistep import bench
+
+    specs = []
+
+    def no_solve(spec):
+        specs.append(spec)
+        return bench.ConvergenceReport(problem=spec.problem, components=1)
+
+    monkeypatch.setattr(bench, "run", no_solve)
+    argv = ["--problem", "ex51", "--k", "2", "--N", "8"]
+    if source == "flag":
+        argv += [f"--{flag}", text]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag.replace('-', '_')} = {text}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_OK
+    config = specs[0].solver_config(2, 8)
+    assert getattr(config, field) == value
+    assert type(getattr(config, field)) is type(value)
+    # the value lands on its own field and nowhere else
+    default = getattr(SolverConfig(k=2, N=8), field)
+    assert dataclasses.replace(config, **{field: default}) == SolverConfig(k=2, N=8)
+
+
+def test_readme_flags_match_the_parser():
+    sentence = re.search(r"Flags:(.*?)\.\s", README.read_text(), re.S).group(1)
+    documented = {}
+    for entry in re.findall(r"`([^`]+)`", sentence):
+        option, _, values = entry.partition(" ")
+        documented[option] = values or None
+    actions = {
+        option: action
+        for action in build_parser()._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+    assert set(documented) == set(actions)
+    for option, values in documented.items():
+        choices = actions[option].choices
+        assert values == ("|".join(choices) if choices else None), option

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fbsde_multistep import (
     ConfigError,
     FbsdeProblem,
+    OutOfDomainError,
     PicardDivergenceError,
     SolverConfig,
     discretize,
@@ -370,6 +371,18 @@ def test_safe_row_fans_stay_inside_the_hull(monkeypatch):
     # several passes per level, and some pass moved rows into the band
     assert len(passes) > 2 * config.N
     assert len(set(passes)) > 1
+
+
+def test_fan_past_the_hull_fails_loudly(monkeypatch):
+    # the safe mask is the one hull guard: a fan it lets through past the
+    # hull must reach the interpolator's domain check, not be clamped onto
+    # the hull edge and solved silently
+    def all_safe(self, dt, b_n, sig_n):
+        return np.ones(self.disc.X.shape[0], dtype=bool)
+
+    monkeypatch.setattr(solver._LevelWorkspace, "_safe_mask", all_safe)
+    with pytest.raises(OutOfDomainError):
+        solve(EX51, SolverConfig(k=2, N=8))
 
 
 def test_one_gather_per_level_and_step(monkeypatch):
