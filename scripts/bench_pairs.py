@@ -1,0 +1,150 @@
+"""Alternating before/after pairs of the repository benchmark.
+
+Run from the root of a checkout:
+
+    python3 scripts/bench_pairs.py --base HEAD --pairs ladder_1d=5 \
+        --pairs coupled_1d=2 --out BENCH_example.json
+
+The base revision is exported with ``git archive`` into a temporary directory,
+so nothing is written under ``.git`` or ``src/``.  Pair i runs
+
+    python3 perfbench/run.py --workload W --seed i --trace 0
+
+once in the export and once in the working tree, in alternating order (the
+base first on odd pairs).  The output file holds the environment line of the
+first run, every run's end-to-end metrics, and per side the median and the
+quartiles of each metric, in the order ``perfbench/run.py`` reports them (the
+error geomeans sit next to the timings), plus how many pairs the working tree
+won on each metric.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("base", "head")
+
+
+def parse_run(stdout: str) -> tuple[dict, dict]:
+    """The environment object and the final result object of one run's output."""
+    lines = stdout.strip().splitlines()
+    prefix = "environment "
+    envs = [json.loads(line[len(prefix):]) for line in lines if line.startswith(prefix)]
+    if not envs:
+        raise ValueError("run output has no environment line")
+    return envs[0], json.loads(lines[-1])
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per-metric medians, quartiles and head wins over a workload's pairs.
+
+    ``pairs`` holds one {"base": result, "head": result} per pair, each result
+    the final JSON object of a run; ``better`` maps a metric to "lower" or
+    "higher".  A pair counts as a head win when its head value is strictly
+    better; a metric a side did not report (a failed geomean) is skipped.
+    """
+    names = list(pairs[0]["head"]["metrics"])
+    summary = {}
+    for name in names:
+        entry = {"unit": pairs[0]["head"]["metrics"][name]["unit"]}
+        values = {}
+        for side in SIDES:
+            values[side] = [p[side]["metrics"][name]["value"] for p in pairs]
+            shown = [v for v in values[side] if v is not None]
+            if shown:
+                q1, med, q3 = _quartiles(shown)
+                entry[side] = {"median": med, "q1": q1, "q3": q3}
+        if "base" in entry and "head" in entry and entry["base"]["median"]:
+            entry["ratio"] = entry["head"]["median"] / entry["base"]["median"]
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        entry["head_wins"] = sum(
+            1 for b, h in zip(values["base"], values["head"])
+            if b is not None and h is not None and sign * (h - b) > 0
+        )
+        summary[name] = entry
+    summary["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+    summary["pairs"] = len(pairs)
+    return summary
+
+
+def export_revision(rev: str, dest: Path) -> str:
+    """Extract ``rev`` of the repository into ``dest``; returns its commit id."""
+    sha = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", rev], check=True, capture_output=True, text=True
+    ).stdout.strip()
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", sha], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return sha
+
+
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", "0"],
+        cwd=str(tree), capture_output=True, text=True, timeout=600,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}"
+        )
+    return parse_run(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
+                        help="run N pairs of WORKLOAD (repeatable)")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    plan = []
+    for item in args.pairs:
+        workload, _, count = item.partition("=")
+        plan.append((workload, int(count or 1)))
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+
+    report = {"base": args.base, "head": "working tree", "environment": None, "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base_tree = Path(tmp)
+        report["base_commit"] = export_revision(args.base, base_tree)
+        trees = {"base": base_tree, "head": ROOT}
+        for workload, count in plan:
+            pairs = []
+            for seed in range(1, count + 1):
+                order = SIDES if seed % 2 else SIDES[::-1]
+                pair = {"seed": seed}
+                for side in order:
+                    env, result = run_once(trees[side], workload, seed)
+                    report["environment"] = report["environment"] or env
+                    pair[side] = result
+                    pair[f"{side}_loadavg"] = env["loadavg"]
+                pairs.append(pair)
+                wall = [pair[s]["metrics"]["wall_s"]["value"] for s in SIDES]
+                print(f"{workload} pair {seed}: wall_s {wall[0]:.3f} -> {wall[1]:.3f}", flush=True)
+            report["workloads"][workload] = {"summary": summarise(pairs, better), "pairs": pairs}
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -113,11 +113,14 @@ class BlackScholesParams:
             raise ValueError("sigma, K, S0 and T must all be positive")
 
 
+# math.erfc mapped over an array, element by element (numpy has no erfc).
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def normal_cdf(x):
     """Standard normal CDF via the complementary error function (<=1e-15 abs)."""
     arr = np.asarray(x, dtype=float)
-    out = np.array([0.5 * math.erfc(-v / _SQRT2) for v in arr.ravel()])
-    out = out.reshape(arr.shape)
+    out = 0.5 * np.asarray(_erfc(-arr / _SQRT2), dtype=float)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -141,8 +144,9 @@ def black_scholes_exact(params: BlackScholesParams, t: float, S):
     d1 = d0 + vol_sqrt
     disc_s = math.exp(-params.dvd * tau)
     disc_k = params.K * math.exp(-params.r * tau)
-    y = S_arr * disc_s * normal_cdf(d1) - disc_k * normal_cdf(d0)
-    z = S_arr * disc_s * normal_cdf(d1) * params.sigma
+    n_d1 = normal_cdf(d1)
+    y = S_arr * disc_s * n_d1 - disc_k * normal_cdf(d0)
+    z = S_arr * disc_s * n_d1 * params.sigma
     if np.isscalar(S) or np.asarray(S).ndim == 0:
         return float(y), float(z)
     return y, z

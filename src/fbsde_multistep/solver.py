@@ -33,7 +33,15 @@ import numpy as np
 from .multistep import compute_coeffs, stability_report
 from .problems import FbsdeProblem
 from .quadrature import MAX_POINTS, GaussHermiteRule, expect_gaussian, hermite_rule
-from .spacegrid import ActiveWindow, GridSpec, ValueField, grid_points, interpolate_values
+from .spacegrid import (
+    MAX_PLAN_ENTRIES,
+    ActiveWindow,
+    GridSpec,
+    ValueField,
+    grid_points,
+    interpolate_values,
+    interpolation_plan,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -380,8 +388,21 @@ class _BroydenState:
         return v - step * factor[:, None]
 
 
+def _same_bits(a, b) -> bool:
+    """Whether two tuples of floats and arrays hold bitwise the same values."""
+    return all(
+        np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        for x, y in zip(a, b)
+    )
+
+
 class _LevelWorkspace:
-    """The discretization, the multistep weights and the counters of one sweep."""
+    """The discretization, the multistep weights and the counters of one sweep.
+
+    It also remembers the latest pass's forward coefficients (dt, b_n,
+    sigma_n) with their safe mask and, once a pass repeats them bitwise, the
+    interpolation plan of each j's quadrature fan (see :meth:`step`).
+    """
 
     def __init__(self, problem, disc, coeffs, config, band_exact=False):
         self.problem = problem
@@ -395,6 +416,10 @@ class _LevelWorkspace:
         self.picard_counts: list[int] = []
         self.unconverged: list[float] = []  # residuals accepted at or above eps0
         self._broyden = None
+        self._coeff_key = None  # (dt, b_n, sigma_n) of the latest pass
+        self._mask = None  # its safe mask
+        self._plans = None  # j -> plan of the fan under _coeff_key on the _mask rows
+        self._pass_store = None  # the current pass's plan store, None to stream
 
     def _rows(self, field: ValueField):
         """A history field's (Y, Z) as per-point rows (every field shares the window)."""
@@ -444,30 +469,57 @@ class _LevelWorkspace:
             )
         return safe
 
+    def _pass_plans(self, repeated, safe):
+        """The plan store for a pass, or None when the pass streams.
+
+        A pass streams unless it repeats the previous pass's coefficients
+        and runs on exactly their safe rows (a coupled level may have
+        narrowed them on an earlier pass); the store is only started when
+        the plans of all k fans fit in MAX_PLAN_ENTRIES.
+        """
+        if not repeated or not np.array_equal(safe, self._mask):
+            return None
+        if self._plans is None:
+            disc = self.disc
+            fans = int(np.count_nonzero(safe)) * disc.rule.L**self.problem.d
+            if self.k * fans * (disc.r + 1) ** self.problem.q > MAX_PLAN_ENTRIES:
+                return None
+            self._plans = {}
+        return self._plans
+
     def _expectations(self, dt, X, b_n, sig_n, history):
         """E[Y^{n+j}] and E[Y^{n+j} dW^T] for j = 1..k via Gauss-Hermite.
 
         ``X`` holds the rows to evaluate, safe under ``b_n`` and ``sig_n``,
         their forward coefficients.  One quadrature call per j reads the
         history field at the whole fan of Euler predictors (every node at
-        every row) in one interpolation call and returns Y (x) (1, dW), dW
-        carrying the sqrt(2 j dt) node scaling.
+        every row) and returns Y (x) (1, dW), dW carrying the sqrt(2 j dt)
+        node scaling.  Without a plan store for the pass the fan is read in
+        one interpolation call; with one, the fan's stored plan (built on
+        first use) is applied to the field, bitwise the same values.
         """
-        problem, disc = self.problem, self.disc
+        problem, disc, plans = self.problem, self.disc, self._pass_store
         n, q, p = X.shape[0], problem.q, problem.p
         EY = np.empty((self.k, n, p))
         EYW = np.empty((self.k, n, p, problem.d))
         for j in range(1, self.k + 1):
-            base = X + b_n * (j * dt)
             fld = history[j]
 
             def integrand(v):
                 M = v.shape[1]
                 dW = math.sqrt(j * dt) * v  # v = sqrt(2) * nodes, shape (d, M)
-                Xq = base + np.einsum("nqd,dm->mnq", sig_n, dW)
-                Yq = interpolate_values(
-                    fld.y_values, fld.window, disc.spec, Xq.reshape(M * n, q), disc.r
-                ).reshape(M, n, p)
+
+                def fan():  # the Euler predictors, node-major
+                    Xq = X + b_n * (j * dt) + np.einsum("nqd,dm->mnq", sig_n, dW)
+                    return Xq.reshape(M * n, q)
+
+                if plans is None:
+                    Yq = interpolate_values(fld.y_values, fld.window, disc.spec, fan(), disc.r)
+                else:
+                    if j not in plans:
+                        plans[j] = interpolation_plan(fld.window, disc.spec, fan(), disc.r)
+                    Yq = plans[j].apply(fld.y_values)
+                Yq = Yq.reshape(M, n, p)
                 factors = np.vstack([np.ones(M), dW]).T  # (M, 1 + d)
                 # Node-major in memory, so each node's slice is contiguous.
                 return np.moveaxis(Yq[:, :, :, None] * factors[:, None, None, :], 0, -1)
@@ -513,6 +565,16 @@ class _LevelWorkspace:
         would, but reach it in a handful of coefficient rebuilds even where
         the plain contraction is slow.  ``history[j]`` is the field of level
         ``level + j``.
+
+        A pass whose (dt, b_n, sigma_n) are bitwise those of the workspace's
+        previous pass (a level of a problem whose forward coefficients do
+        not depend on t, or a repeated outer iterate) reuses that pass's safe
+        mask.  If it also runs on exactly those safe rows and the k plans fit
+        in MAX_PLAN_ENTRIES, it reads each fan through a stored interpolation
+        plan, built on the first such pass and applied on every later one.
+        Any other pass streams its fans through ``interpolate_values``; a
+        pass with new coefficients also drops the stored plans.  Every value
+        is bitwise the same either way.
         """
         problem, X = self.problem, self.disc.X
         n = X.shape[0]
@@ -542,7 +604,11 @@ class _LevelWorkspace:
             # and sigma, which can move a safe row's fan out of the hull: the
             # row then joins the band for the rest of the level, its iterate
             # pinned to the band value.
-            mask = self._safe_mask(dt, b_n, sig_n)
+            key = (dt, b_n, sig_n)
+            repeated = self._coeff_key is not None and _same_bits(key, self._coeff_key)
+            if not repeated:
+                self._coeff_key, self._mask, self._plans = key, self._safe_mask(*key), None
+            mask = self._mask
             if safe is None or np.any(safe & ~mask):
                 safe = mask if safe is None else safe & mask
                 unsafe = ~safe
@@ -551,6 +617,7 @@ class _LevelWorkspace:
                 if outer > 0:
                     y_cur[unsafe] = band_y
                     z_cur[unsafe] = band_z
+            self._pass_store = self._pass_plans(repeated, safe)
             EY, EYW = self._expectations(dt, X_safe, b_n[safe], sig_n[safe], history)
             z_safe = np.einsum("j,jnpd->npd", alpha[1:], EYW)
             rhs = -np.einsum("j,jnp->np", alpha[1:], EY)

@@ -18,6 +18,9 @@ import numpy as np
 
 # Stencil entries (queries times (r+1)^q) per query block of interpolate_values.
 _BLOCK_ENTRIES = 1 << 14
+# Stencil entries a solver level may keep in stored interpolation plans, all
+# fans together (each entry is one int64 index and one float64 weight).
+MAX_PLAN_ENTRIES = 1 << 18
 
 
 class OutOfDomainError(ValueError):
@@ -151,12 +154,12 @@ def _lagrange_denominators(r: int) -> np.ndarray:
 
 
 def _lagrange_basis(u: np.ndarray, starts: np.ndarray, r: int) -> np.ndarray:
-    """Per-dimension Lagrange basis weights, shape (n, q, r+1).
+    """Per-dimension Lagrange basis weights, node-major: shape (r+1, n, q).
 
     Product form on the integer offsets 0..r: l_i(t) = prod_{j != i} (t - j) / D_i,
-    from prefix and suffix products along a leading node axis.  Nothing divides
-    by t - i, and at a node the integer products are exact (r! < 2^53), so its
-    row comes out exactly one-hot.
+    from prefix and suffix products along the leading node axis.  Nothing
+    divides by t - i, and at a node the integer products are exact (r! < 2^53),
+    so its row comes out exactly one-hot.
     """
     diff = (u - starts) - np.arange(r + 1.0)[:, None, None]  # t - j, (r+1, n, q)
     prefix, suffix = np.empty_like(diff), np.empty_like(diff)
@@ -166,7 +169,80 @@ def _lagrange_basis(u: np.ndarray, starts: np.ndarray, r: int) -> np.ndarray:
         np.multiply(suffix[r - i], diff[r - i], out=suffix[r - i - 1])
     prefix *= suffix
     prefix /= _lagrange_denominators(r)
-    return np.ascontiguousarray(prefix.transpose(1, 2, 0))
+    return prefix
+
+
+def _stencil_axis(q: int, r: int) -> int:
+    """The stencil axis of the planned index and weight blocks.
+
+    1-d stencils of fewer than 8 entries are laid out stencil-major, (S, n),
+    and summed along axis 0, several times faster than per-row sums.  That
+    adds w_i v_i in stencil order, so a one-column result is bitwise the
+    plain sequential sum, which coupled outer loops (whose exits compare
+    residuals with eps0) rely on.  Larger and tensor stencils keep per-row
+    np.sum over contiguous (n, S) rows; its pairwise summation splits into
+    partial sums from 8 terms on, so those results are not a plain sum.
+    """
+    return 0 if q == 1 and r + 1 < 8 else 1
+
+
+def _batch_coords(spec: GridSpec, window: ActiveWindow, points, r: int) -> np.ndarray:
+    """Grid coordinates of an (n, q) batch of query points, checked as in _query_coords."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != spec.q:
+        raise ValueError(f"points must be (n, {spec.q}), got {points.shape}")
+    return _query_coords(spec, window, points, r)
+
+
+def _plan_blocks(u: np.ndarray, window: ActiveWindow, r: int):
+    """Yield (rows, index, weights) per query block of _BLOCK_ENTRIES stencil entries.
+
+    ``u`` holds the queries' grid coordinates, (n, q).  ``index`` holds the
+    flat offsets of each query's (r+1)^q stencil into the C-ordered window
+    values (last dimension fastest) and ``weights`` its tensor-product
+    Lagrange weights, both laid out as _stencil_axis says: (S, n) or (n, S).
+    """
+    q = u.shape[1]
+    ext = window.extents
+    strides = [1] * q
+    for dim in range(q - 2, -1, -1):
+        strides[dim] = strides[dim + 1] * ext[dim + 1]
+    # Tensor-product stencil as flat offsets, last dimension fastest.
+    offsets = np.arange(r + 1, dtype=np.int64)
+    stencil = offsets * strides[0]
+    for dim in range(1, q):
+        stencil = (stencil[:, None] + offsets * strides[dim]).ravel()
+    stencil_major = _stencil_axis(q, r) == 0
+
+    block = max(1, _BLOCK_ENTRIES // stencil.size)
+    for first in range(0, u.shape[0], block):
+        ub = u[first : first + block]
+        starts = _stencil_starts(ub, window, r)
+        basis = _lagrange_basis(ub, starts, r)
+        base = (starts[:, 0] - window.lo[0]) * strides[0]
+        for dim in range(1, q):
+            base += (starts[:, dim] - window.lo[dim]) * strides[dim]
+        if stencil_major:  # 1-d, so the basis is the weights
+            index, weights = stencil[:, None] + base, basis[:, :, 0]
+        else:
+            basis = np.ascontiguousarray(basis.transpose(1, 2, 0))  # (n, q, r+1)
+            index, weights = base[:, None] + stencil, basis[:, 0]
+            for dim in range(1, q):
+                weights = np.einsum("ns,nj->nsj", weights, basis[:, dim]).reshape(len(ub), -1)
+        yield slice(first, first + len(ub)), index, weights
+
+
+def _apply_blocks(blocks, axis: int, values: np.ndarray, window: ActiveWindow, n: int):
+    """Contract each value column's gathers with the planned weights, block by block."""
+    ext = window.extents
+    if values.shape[: len(ext)] != ext:
+        raise ValueError(f"values must start with the window extents {ext}, got {values.shape}")
+    columns = values.reshape(np.prod(ext, dtype=int), -1).T
+    out = np.empty((n, columns.shape[0]))
+    for rows, index, weights in blocks:
+        for c, column in enumerate(columns):
+            out[rows, c] = np.sum(weights * column[index], axis=axis)
+    return out.reshape((n,) + values.shape[len(ext) :])
 
 
 def interpolate_values(
@@ -182,46 +258,46 @@ def interpolate_values(
     (n, q).  Returns (n, *trailing).  Reproduces polynomials of coordinate
     degree <= r per dimension exactly.
 
-    Each query reads its (r+1)^q stencil as one flat gather per trailing
-    column, contracted against the tensor-product basis weights.  Queries run
-    in fixed blocks of _BLOCK_ENTRIES stencil entries, so memory stays flat
-    however many one call carries; each row's arithmetic is a one-point call's.
+    Queries stream in fixed blocks of _BLOCK_ENTRIES stencil entries, so
+    memory stays flat however many one call carries.  Each block is planned
+    (flat stencil indices and tensor-product Lagrange weights) and then
+    applied (one gather and weighted sum per trailing column); each row's
+    arithmetic is a one-point call's, and that of
+    :meth:`InterpolationPlan.apply` for a plan of the same points.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != spec.q:
-        raise ValueError(f"points must be (n, {spec.q}), got {points.shape}")
-    u = _query_coords(spec, window, points, r)
+    u = _batch_coords(spec, window, points, r)
+    blocks = _plan_blocks(u, window, r)  # a generator: each block is applied as it is planned
+    return _apply_blocks(blocks, _stencil_axis(spec.q, r), values, window, len(u))
 
-    n = points.shape[0]
-    q = spec.q
-    ext = window.extents
-    trailing = values.shape[q:]
-    strides = np.ones(q, dtype=np.int64)
-    for dim in range(q - 2, -1, -1):
-        strides[dim] = strides[dim + 1] * ext[dim + 1]
-    # Tensor-product stencil as flat offsets, last dimension fastest.
-    offsets = np.arange(r + 1, dtype=np.int64)
-    stencil = offsets * strides[0]
-    for dim in range(1, q):
-        stencil = (stencil[:, None] + offsets * strides[dim]).ravel()
 
-    columns = values.reshape(np.prod(ext, dtype=int), -1).T
-    out = np.empty((n, columns.shape[0]))
-    block = max(1, _BLOCK_ENTRIES // stencil.size)
-    for first in range(0, n, block):
-        ub = u[first : first + block]
-        starts = _stencil_starts(ub, window, r)
-        basis = _lagrange_basis(ub, starts, r)
-        weights = basis[:, 0, :]
-        for dim in range(1, q):
-            weights = np.einsum("ns,nj->nsj", weights, basis[:, dim]).reshape(len(ub), -1)
-        flat_idx = ((starts - window.lo) @ strides)[:, None] + stencil
-        # np.sum rather than einsum: its summation order leaves one-column 1-d
-        # results bitwise equal to a plain stencil sum, so coupled outer loops,
-        # whose exits compare residuals with eps0, take the same passes.
-        for c, column in enumerate(columns):
-            out[first : first + block, c] = np.sum(weights * column[flat_idx], axis=1)
-    return out.reshape((n,) + trailing)
+@dataclass(frozen=True)
+class InterpolationPlan:
+    """The planned blocks of a fixed set of query points, built once.
+
+    :func:`interpolation_plan` builds it; :meth:`apply` then interpolates any
+    array sampled on the same window at those points, bitwise as
+    :func:`interpolate_values` would, without recomputing a stencil or a
+    weight.  It holds n (r+1)^q stencil indices and as many weights.
+    """
+
+    window: ActiveWindow
+    n: int
+    axis: int
+    blocks: tuple
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Interpolate ``values`` (*window.extents, *trailing) at the planned points."""
+        return _apply_blocks(self.blocks, self.axis, values, self.window, self.n)
+
+
+def interpolation_plan(
+    window: ActiveWindow, spec: GridSpec, points: np.ndarray, r: int
+) -> InterpolationPlan:
+    """Plan degree-r interpolation at ``points`` (n, q) on ``window``."""
+    u = _batch_coords(spec, window, points, r)
+    return InterpolationPlan(
+        window, len(u), _stencil_axis(spec.q, r), tuple(_plan_blocks(u, window, r))
+    )
 
 
 def interpolate(field, spec: GridSpec, x, r: int, window: ActiveWindow | None = None):

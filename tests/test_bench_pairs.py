@@ -1,0 +1,78 @@
+"""The summariser of scripts/bench_pairs.py, on canned benchmark output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"wall_s": "lower", "err_y_geomean": "lower", "cells_ok": "higher"}
+
+
+def _output(wall, err_y, cells_ok, failed=0, loadavg=0.5):
+    """A run's standard output as perfbench/run.py prints it (trimmed)."""
+    env = {"nproc": 2, "cpu": "test cpu", "python": "3.11.7", "loadavg": [loadavg] * 3}
+    result = {
+        "correct": failed == 0, "attempted": 24, "failed": failed,
+        "metrics": {
+            "wall_s": {"value": wall, "unit": "s"},
+            "err_y_geomean": {"value": err_y, "unit": "1"},
+            "cells_ok": {"value": cells_ok, "unit": "count"},
+        },
+    }
+    return "\n".join([
+        "environment " + json.dumps(env),
+        "cell ex51/k1/N16: err_y 1.000e-02  err_z 2.000e-02",
+        "ladder_1d wall_s = %g s" % wall,
+        json.dumps(result),
+    ]) + "\n"
+
+
+def test_parse_run_reads_environment_and_result():
+    env, result = bench_pairs.parse_run(_output(1.5, 1e-4, 24, loadavg=0.25))
+    assert env["loadavg"] == [0.25] * 3
+    assert result["metrics"]["wall_s"] == {"value": 1.5, "unit": "s"}
+    with pytest.raises(ValueError, match="environment"):
+        bench_pairs.parse_run('{"metrics": {}}\n')
+
+
+def test_summarise_medians_quartiles_and_wins():
+    base = [1.6, 1.8, 1.7, 2.0, 1.65]
+    head = [1.2, 1.3, 1.1, 1.9, 1.7]
+    pairs = [
+        {
+            "base": bench_pairs.parse_run(_output(b, 1e-4, 24))[1],
+            "head": bench_pairs.parse_run(_output(h, 1e-4, 24 if i else 23, failed=int(not i)))[1],
+        }
+        for i, (b, h) in enumerate(zip(base, head))
+    ]
+    summary = bench_pairs.summarise(pairs, BETTER)
+    assert list(summary) == ["wall_s", "err_y_geomean", "cells_ok", "failed", "pairs"]
+    wall = summary["wall_s"]
+    assert wall["unit"] == "s"
+    assert wall["base"] == {"median": 1.7, "q1": 1.65, "q3": 1.8}
+    assert wall["head"] == {"median": 1.3, "q1": 1.2, "q3": 1.7}
+    assert wall["ratio"] == pytest.approx(1.3 / 1.7)
+    assert wall["head_wins"] == 4  # the last pair is slower on the head side
+    assert summary["err_y_geomean"]["head_wins"] == 0  # equal is no win
+    assert summary["err_y_geomean"]["ratio"] == 1.0
+    assert summary["cells_ok"]["head"]["q1"] == 24 and summary["cells_ok"]["head_wins"] == 0
+    assert summary["failed"] == {"base": 0, "head": 1}
+    assert summary["pairs"] == 5
+
+
+def test_summarise_single_pair_and_missing_geomean():
+    pair = {
+        "base": bench_pairs.parse_run(_output(1.0, None, 0, failed=24))[1],
+        "head": bench_pairs.parse_run(_output(0.9, 2e-4, 24))[1],
+    }
+    summary = bench_pairs.summarise([pair], BETTER)
+    assert summary["wall_s"]["head"] == {"median": 0.9, "q1": 0.9, "q3": 0.9}
+    assert "base" not in summary["err_y_geomean"] and "ratio" not in summary["err_y_geomean"]
+    assert summary["err_y_geomean"]["head_wins"] == 0
+    assert summary["cells_ok"]["head_wins"] == 1

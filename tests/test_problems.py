@@ -238,3 +238,25 @@ def test_log_price_state_reports_spot_value():
     y = prob.exact_y(0.0, prob.x0[None, :])[0, 0]
     y_ref, _ = black_scholes_exact(BS_PARAMS, 0.0, BS_PARAMS.S0)
     assert y == pytest.approx(y_ref, rel=1e-13)
+
+
+def test_normal_cdf_is_bitwise_the_per_element_erfc():
+    # The array form maps math.erfc over the elements, so it must agree bit
+    # for bit with the per-element loop it replaced.
+    def reference(x):
+        arr = np.asarray(x, dtype=float)
+        out = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in arr.ravel()])
+        out = out.reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
+
+    grid = np.linspace(-40.0, 40.0, 20001)
+    np.testing.assert_array_equal(normal_cdf(grid), reference(grid))
+    assert np.array_equal(normal_cdf(grid).view(np.int64), reference(grid).view(np.int64))
+    square = grid[:400].reshape(20, 20)
+    np.testing.assert_array_equal(normal_cdf(square), reference(square))
+    for scalar in (0.0, -1.3, 2.5e-3, np.inf, -np.inf):
+        got = normal_cdf(scalar)
+        assert isinstance(got, float)
+        assert got == reference(scalar)
+    assert normal_cdf(np.inf) == 1.0 and normal_cdf(-np.inf) == 0.0
+    assert normal_cdf(np.array(0.7)) == reference(np.array(0.7))

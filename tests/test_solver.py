@@ -551,3 +551,136 @@ def test_node_count_cap_warns_when_fan_stays_wide(caplog):
     L, warned = _node_count(caplog, EX51, SolverConfig(k=3, N=64))
     assert L < 64
     assert warned == []
+
+
+EX52 = registry_get("ex52_bs")
+
+
+def _solve_recording_plans(monkeypatch, problem, config, cap=None):
+    """Solve, recording (workspace k, level) of every stored plan built.
+
+    ``cap`` replaces MAX_PLAN_ENTRIES; 0 disables plan reuse.  Every patch of
+    ``monkeypatch`` is undone before returning.
+    """
+    if cap is not None:
+        monkeypatch.setattr(solver, "MAX_PLAN_ENTRIES", cap)
+    built, current = [], []
+    plan, step = solver.interpolation_plan, solver._LevelWorkspace.step
+
+    def recorded_plan(*args):
+        built.append(current[-1])
+        return plan(*args)
+
+    def recorded_step(self, level, *args):
+        current.append((self.k, level))
+        return step(self, level, *args)
+
+    monkeypatch.setattr(solver, "interpolation_plan", recorded_plan)
+    monkeypatch.setattr(solver._LevelWorkspace, "step", recorded_step)
+    result = solve(problem, config)
+    monkeypatch.undo()
+    return result, built
+
+
+def _assert_same_result(a, b):
+    for name in ("y0", "z0", "err_y", "err_z"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.picard_stats == b.picard_stats
+
+
+@pytest.mark.parametrize(
+    "k, N, mode", [(2, 16, "exact"), (3, 16, "exact"), (2, 8, "bootstrap")]
+)
+def test_plan_reuse_changes_no_result(monkeypatch, k, N, mode):
+    # ex52_bs's forward coefficients do not depend on t, so every level after
+    # the first repeats them: the plans are built on the second level of each
+    # workspace (the k = 1 bootstrap chain's too) and applied on the rest.
+    config = SolverConfig(k=k, N=N, terminal_mode=mode)
+    reused, built = _solve_recording_plans(monkeypatch, EX52, config)
+    streamed, none = _solve_recording_plans(monkeypatch, EX52, config, cap=0)
+    _assert_same_result(reused, streamed)
+    assert none == []
+    sweep = [(k, N - k - 2)] * k
+    substeps = min(BOOTSTRAP_MAX_SUBSTEPS, N**k) // k * k  # chain levels substeps-1 .. 0
+    chain = [(1, substeps - 2)] if mode == "bootstrap" else []
+    assert built == chain + sweep
+
+
+def test_time_dependent_levels_build_no_plans(monkeypatch):
+    # ex51's b and sigma read t, so no two passes repeat; only the two reads
+    # at x0 and one call per (level, j) touch the interpolator
+    _, built = _solve_recording_plans(monkeypatch, EX51, SolverConfig(k=3, N=16))
+    assert built == []
+    _, built = _solve_recording_plans(
+        monkeypatch, EX51, SolverConfig(k=2, N=8, terminal_mode="bootstrap")
+    )
+    assert built == []
+
+
+def _drift_from_half_time(shape):
+    """ex52_bs's drift plus a t-dependent term that vanishes for t >= T/2."""
+    half = 0.5 * EX52.T
+
+    def b(t, X, Y, Z):
+        extra = 0.0 if t >= half else (0.1 if shape == "step" else 0.2 * (half - t))
+        return EX52.b(t, X, Y, Z) + extra
+
+    return dataclasses.replace(EX52, name=f"ex52_{shape}", b=b)
+
+
+@pytest.mark.parametrize("shape", ["step", "ramp"])
+def test_plans_are_rebuilt_where_the_coefficients_change(monkeypatch, shape):
+    # Levels n >= 8 (t >= T/2) share one drift: plans are built at n = 12,
+    # the first repeat.  Below T/2 the step drift is again constant, so the
+    # old plans are dropped at n = 7 and new ones built at n = 6; the ramp
+    # drift changes every level, so every level below T/2 streams.
+    problem = _drift_from_half_time(shape)
+    config = SolverConfig(k=2, N=16)
+    reused, built = _solve_recording_plans(monkeypatch, problem, config)
+    streamed, _ = _solve_recording_plans(monkeypatch, problem, config, cap=0)
+    _assert_same_result(reused, streamed)
+    levels = [12, 6] if shape == "step" else [12]
+    assert built == [(2, n) for n in levels for _ in range(2)]
+
+
+SIGMA_HEAT = np.array([[0.3, 0.2]])
+
+
+def _heat_d2(t, X):
+    return np.exp(X + 0.065 * (1.0 - t))
+
+
+HEAT_D2 = FbsdeProblem(
+    name="heat_d2", q=1, p=1, d=2,
+    b=lambda t, X, Y, Z: np.zeros_like(X),
+    sigma=lambda t, X, Y, Z: np.broadcast_to(SIGMA_HEAT, (X.shape[0], 1, 2)).copy(),
+    f=lambda t, X, Y, Z: np.zeros((X.shape[0], 1)),
+    phi=lambda X: np.exp(X),
+    grad_phi=lambda X: np.exp(X)[:, :, None],
+    exact_y=_heat_d2,
+    exact_z=lambda t, X: _heat_d2(t, X)[:, :, None] * SIGMA_HEAT,
+    T=1.0, x0=[0.0], coupled=False,
+)
+
+
+@pytest.mark.parametrize("L, stores", [(4, True), (32, False)])
+def test_plans_past_the_cap_are_not_stored(monkeypatch, L, stores):
+    # One noise dimension per column of sigma: d = 2 puts L^2 nodes under
+    # every fan.  At L = 32 a level's plans would hold far more than
+    # MAX_PLAN_ENTRIES, so every level streams; at L = 4 they fit.
+    config = SolverConfig(k=2, N=8, L=L)
+    disc = discretize(HEAT_D2, config)
+    assert disc.rule.L == L
+    ws = solver._LevelWorkspace(HEAT_D2, disc, solver.compute_coeffs(2), config)
+    t, dt = 0.5, HEAT_D2.T / config.N
+    X = disc.X
+    coeffs = (HEAT_D2.b(t, X, None, None), HEAT_D2.sigma(t, X, None, None))
+    entries = (
+        config.k * int(ws._safe_mask(dt, *coeffs).sum()) * L**2 * (disc.r + 1)
+    )
+    assert (entries <= solver.MAX_PLAN_ENTRIES) == stores
+    reused, built = _solve_recording_plans(monkeypatch, HEAT_D2, config)
+    streamed, _ = _solve_recording_plans(monkeypatch, HEAT_D2, config, cap=0)
+    _assert_same_result(reused, streamed)
+    assert built == ([(2, 4)] * 2 if stores else [])
+    assert reused.err_y[0] < 1e-4

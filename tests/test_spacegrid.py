@@ -304,3 +304,46 @@ def test_kernel_matches_exact_lagrange_reference(q, r, trailing):
             exact = float(sum(w * d for w, d in zip(weights, v)))
             floor = eps * float(sum(abs(w) * abs(d) for w, d in zip(weights, v)))
             assert abs(got[col] - exact) <= KERNEL_ROUNDING * floor
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_one_column_1d_result_is_a_plain_stencil_sum(r):
+    # Below 8 stencil entries the kernel adds w_i v_i in stencil order, so a
+    # one-column 1-d result is bitwise the plain sequential sum; coupled outer
+    # loops, whose exits compare residuals with eps0, rely on it.  From 8
+    # entries on (r >= 7) numpy's pairwise sum splits into partial sums.
+    rng = np.random.default_rng(70 + r)
+    spec = spec1d(h=0.3, origin=-0.2)
+    window = ActiveWindow(lo=[-12], hi=[15])
+    values = rng.normal(size=window.extents) * 10.0 ** rng.integers(-3, 4, size=window.extents)
+    points = spec.origin + spec.h * rng.uniform(-12.5, 15.5, size=(2000, 1))
+    got = interpolate_values(values, window, spec, points, r)
+    # Interpolating the identity gives every query's weight of every grid point.
+    weights = interpolate_values(np.eye(values.size), window, spec, points, r)
+    starts = np.array([neighbor_set(spec, window, x, r)[0, 0] for x in points]) - window.lo[0]
+    rows = np.arange(len(points))
+    plain = weights[rows, starts] * values[starts]
+    for i in range(1, r + 1):
+        plain = plain + weights[rows, starts + i] * values[starts + i]
+    np.testing.assert_array_equal(got, plain)
+
+
+@pytest.mark.parametrize("trailing", [(), (2, 3)])
+@pytest.mark.parametrize("q, r", [(1, 1), (1, 6), (1, 7), (1, 15), (2, 1), (2, 6), (3, 3)])
+def test_plan_applies_bitwise_as_interpolate_values(q, r, trailing):
+    # A plan built once reads any field on its window as a streaming call
+    # would, across several query blocks.
+    rng = np.random.default_rng(10 * q + r)
+    spec = GridSpec(q=q, h=[0.25, 0.5, 0.2][:q], origin=[0.5, -1.0, 0.1][:q])
+    window = ActiveWindow(lo=[-r - 2] * q, hi=[r + 3] * q)
+    block = max(1, spacegrid._BLOCK_ENTRIES // (r + 1) ** q)
+    u = rng.uniform(window.lo - 0.5, window.hi + 0.5, size=(2 * block + 5, q))
+    points = spec.origin + spec.h * u
+    plan = spacegrid.interpolation_plan(window, spec, points, r)
+    for _ in range(2):
+        values = rng.normal(size=window.extents + trailing)
+        np.testing.assert_array_equal(
+            plan.apply(values), interpolate_values(values, window, spec, points, r)
+        )
+    with pytest.raises(ValueError, match="window extents"):
+        plan.apply(np.zeros((3,) * q))
