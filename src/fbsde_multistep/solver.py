@@ -25,7 +25,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -198,6 +198,8 @@ def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float, cap: i
         for _ in range(cap):
             sig = np.asarray(problem.sigma(problem.T, X, Y, Z), dtype=float)
             Z_new = np.einsum("npq,nqd->npd", grad, sig)
+            if not problem.coupled:
+                return Y, Z_new  # sigma ignores (y, z): the first image is the fixed point
             delta = float(np.max(np.abs(Z_new - Z)))
             Z = Z_new
             if delta <= eps0:
@@ -660,30 +662,62 @@ class _LevelWorkspace:
         )
 
 
-def _bootstrap_chain(problem, config, disc, terminal):
-    """Seed levels N-1 .. N-k from one fine k=1 solve of [t_{N-k}, T].
+def _bootstrap_substeps(N, k):
+    """Sub-step count M of the fine seeding chain; the coarse chain takes M/2.
 
-    The chain starts from the terminal field and takes M uniform steps of
-    k*dt/M on the same static window as the main sweep, M = min(cap, N^k)
-    rounded down to a multiple of k, so the first-order seeding error stays
-    under the order-k target at desk scale.  Every M/k steps a sub-level
-    lands on a seed level's time t_{N-i} and is kept as level N-i.  Returns
-    the seed fields by level and the chain's workspace, whose counters the
-    solve reports.
+    M = 2k*m, so both chains land on every seed level.  The extrapolated
+    chain's leading error is about delta^2 * k*dt with delta = k*dt/M, which
+    stays O(dt^k) for m ~ N^((k-3)/2); the floor m >= N/2 keeps it well
+    under the sweep's own error at desk-scale N, where that power is small.
+    A k = 1 seed needs only first order, so m = 1 there.
+    BOOTSTRAP_MAX_SUBSTEPS bounds both chains together, 3k*m sub-levels.
+    """
+    m = 1 if k == 1 else math.ceil(max(N / 2, N ** ((k - 3) / 2)))
+    return 2 * k * min(m, BOOTSTRAP_MAX_SUBSTEPS // (3 * k))
+
+
+def _euler_chain(ws, terminal, t_start, span, steps, every):
+    """Step a k=1 chain from ``terminal`` at t_start + span down to t_start.
+
+    It takes ``steps`` uniform sub-steps and returns, keyed by i, the
+    sub-level at t_start + i*every*span/steps.
+    """
+    delta = span / steps
+    kept = {}
+    field = terminal
+    for m in range(steps - 1, -1, -1):
+        field = ws.step(m, t_start + m * delta, delta, {1: field})
+        if m % every == 0:
+            kept[m // every] = field
+    return kept
+
+
+def _bootstrap_chain(problem, config, disc, terminal):
+    """Seed levels N-1 .. N-k by Richardson extrapolation of two k=1 chains.
+
+    Both chains start from the terminal field and run over [t_{N-k}, T] on
+    the same static window as the main sweep: a fine chain of M uniform
+    sub-steps (M from :func:`_bootstrap_substeps`) and a coarse one of M/2.
+    Each lands a sub-level on every seed time t_{N-i}, and seed N-i is
+    2*fine - coarse for both Y and Z, which cancels the chains' first-order
+    error.  Both chains run through one workspace, fine first, whose
+    counters the solve reports.  Returns the seed fields by level and that
+    workspace.
     """
     N, k = config.N, config.k
     t_start = (N - k) * (problem.T / N)
-    M = min(BOOTSTRAP_MAX_SUBSTEPS, N**k) // k * k
-    per_seed = M // k
-    delta = (problem.T - t_start) / M
+    span = problem.T - t_start
+    M = _bootstrap_substeps(N, k)
     ws = _LevelWorkspace(problem, disc, compute_coeffs(1), config)
+    fine = _euler_chain(ws, terminal, t_start, span, M, M // k)
+    coarse = _euler_chain(ws, terminal, t_start, span, M // 2, M // (2 * k))
     seeds = {}
-    field = terminal
-    for m in range(M - 1, -1, -1):
-        field = ws.step(m, t_start + m * delta, delta, {1: field})
-        if m % per_seed == 0:
-            level = N - k + m // per_seed
-            seeds[level] = replace(field, level=level)
+    for i in range(k):
+        f, c = fine[i], coarse[i]
+        level = N - k + i
+        seeds[level] = disc.field(
+            problem, level, 2.0 * f.y_values - c.y_values, 2.0 * f.z_values - c.z_values
+        )
     return seeds, ws
 
 
@@ -695,8 +729,9 @@ def init_terminal(problem, config, disc):
     interpolates the level-N field itself: terminal functions with kinks
     (e.g. call payoffs) would otherwise leak O(h)-size interpolation error
     into every high-order run.  Seeds come from the exact solution or from
-    one fine k=1 bootstrap chain over [t_{N-k}, T] anchored at the payoff,
-    whose sub-levels land on the seed levels.
+    two k=1 bootstrap chains over [t_{N-k}, T] anchored at the payoff, a fine
+    and a half-as-fine one whose sub-levels land on the seed levels and are
+    joined by Richardson extrapolation.
 
     Returns the fields by level and the bootstrap chain's workspace (None
     under exact seeding).

@@ -22,7 +22,7 @@ from fbsde_multistep import (
     solve,
 )
 from fbsde_multistep import solver
-from fbsde_multistep.solver import BOOTSTRAP_MAX_SUBSTEPS, WORKERS_ENV_VAR
+from fbsde_multistep.solver import WORKERS_ENV_VAR
 
 EX51 = registry_get("ex51")
 
@@ -175,6 +175,35 @@ def test_terminal_z_fixed_point_matches_closed_form():
     np.testing.assert_allclose(z_terminal, ex55.exact_z(ex55.T, disc.X), rtol=0, atol=1e-10)
 
 
+def _terminal_probe_sigma_calls(problem):
+    """Run the terminal (Y, Z) probe on a few points, counting sigma calls."""
+    calls = []
+
+    def sigma(t, X, Y, Z):
+        calls.append(t)
+        return problem.sigma(t, X, Y, Z)
+
+    counted = dataclasses.replace(problem, sigma=sigma)
+    calls.clear()  # drop the decoupled-flag probes made by the record itself
+    X = problem.x0[None, :] + np.linspace(-0.3, 0.3, 7)[:, None]
+    _, Z = solver._terminal_yz_probe(counted, X, 1e-11, 100)
+    return len(calls), Z
+
+
+def test_decoupled_terminal_z_takes_one_sigma_call():
+    # sigma of a decoupled problem ignores (y, z), so the first image of the
+    # Z = grad_phi . sigma fixed point is its limit; flagged coupled, the
+    # same problem iterates once more to see Z not move, bitwise
+    calls, Z = _terminal_probe_sigma_calls(EX51)
+    iterated_calls, iterated = _terminal_probe_sigma_calls(
+        dataclasses.replace(EX51, coupled=True)
+    )
+    assert (calls, iterated_calls) == (1, 2)
+    np.testing.assert_array_equal(Z, iterated)
+    ex55_calls, _ = _terminal_probe_sigma_calls(registry_get("ex55"))
+    assert ex55_calls > 2
+
+
 def test_terminal_z_fixed_point_divergence_raises():
     # Z = grad_phi . sigma = 2 Z + 1 repels its fixed point Z = -1
     prob = FbsdeProblem(
@@ -216,9 +245,21 @@ def test_bootstrap_requires_grad_phi():
 def test_bootstrap_close_to_exact_seeding():
     exact = solve(EX51, SolverConfig(k=2, N=16, terminal_mode="exact"))
     boot = solve(EX51, SolverConfig(k=2, N=16, terminal_mode="bootstrap"))
-    # first-order seeding on a chain of N^k = 256 sub-steps over [t_{N-2}, T]
-    # stays within a small factor
-    assert abs(boot.y0[0] - exact.y0[0]) < 20 * exact.err_y[0] + 1e-8
+    # Richardson-extrapolated chains of 16 and 8 sub-steps over [t_{N-2}, T]
+    # seed as well as the closed form: y0 moves by 4.4e-8, under 1e-3 of the
+    # scheme's own error
+    assert abs(boot.y0[0] - exact.y0[0]) < 1e-3 * exact.err_y[0]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("N", [8, 16])
+def test_bootstrap_errors_track_exact_seeding(k, N):
+    # second-order seeds keep both errors within a factor 2 of exact
+    # seeding (the largest ratio, k=4 N=8 err_y, is 1.64)
+    exact = solve(EX51, SolverConfig(k=k, N=N, terminal_mode="exact"))
+    boot = solve(EX51, SolverConfig(k=k, N=N, terminal_mode="bootstrap"))
+    assert boot.err_y[0] < 2.0 * exact.err_y[0]
+    assert boot.err_z[0, 0] < 2.0 * exact.err_z[0, 0]
 
 
 def test_coupled_flag_equivalence_on_decoupled_dynamics():
@@ -409,51 +450,66 @@ def test_one_gather_per_level_and_step(monkeypatch):
 def test_max_outer_bounds_sweep_and_bootstrap_levels():
     config = SolverConfig(k=2, N=8, max_outer=1, terminal_mode="bootstrap")
     calls, result = _grid_b_calls(registry_get("ex54a"), config)
-    substeps = min(BOOTSTRAP_MAX_SUBSTEPS, config.N**config.k)
-    # one b call per sweep level and per sub-level of the single seeding chain
-    assert calls == (config.N - config.k) + substeps
-    assert calls == 70
+    substeps = solver._bootstrap_substeps(config.N, config.k)
+    # one b call per sweep level and per sub-level of the fine and the
+    # coarse seeding chain
+    assert calls == (config.N - config.k) + substeps + substeps // 2
+    assert calls == 6 + 24
     assert result.picard_stats.max_iterations == 1
 
 
-@pytest.mark.parametrize("k, N, cap, substeps", [(2, 8, None, 64), (3, 6, 10, 9)])
+@pytest.mark.parametrize("k, N, cap, substeps", [(2, 8, None, 16), (3, 6, 10, 6)])
 def test_bootstrap_chain_lands_on_seed_levels(monkeypatch, k, N, cap, substeps):
-    # One k=1 chain of M steps over [t_{N-k}, T] seeds every level: its
-    # coarsest seed is the plain sub-solve of [t_{N-k}, T], and each seed N-i
-    # is the chain's sub-level at t_{N-i}.  A cap that k does not divide
-    # rounds M down to a multiple of k.
+    # A fine k=1 chain of M sub-steps and a coarse one of M/2 run over
+    # [t_{N-k}, T] through one workspace, fine first; each lands a sub-level
+    # on every seed time t_{N-i}, and seed N-i is 2*fine - coarse.  A cap
+    # that 2k does not divide rounds M down to a multiple of 2k.
     if cap is not None:
         monkeypatch.setattr(solver, "BOOTSTRAP_MAX_SUBSTEPS", cap)
     config = SolverConfig(k=k, N=N, terminal_mode="bootstrap")
+    assert solver._bootstrap_substeps(N, k) == substeps
     calls, _ = _grid_b_calls(EX51, config)
-    assert calls == (N - k) + substeps
+    assert calls == (N - k) + substeps + substeps // 2
     disc = discretize(EX51, config)
-    steps = []
-    step = solver._LevelWorkspace.step
-
-    def recorded(self, level, t_n, dt, history):
-        field = step(self, level, t_n, dt, history)
-        steps.append((t_n, field))
-        return field
-
-    monkeypatch.setattr(solver._LevelWorkspace, "step", recorded)
     fields, chain = init_terminal(EX51, config, disc)
-    assert len(steps) == len(chain.picard_counts) == substeps
-    dt = EX51.T / N
-    for i in range(1, k + 1):
-        seed = fields[N - i]
-        assert seed.level == N - i
-        [t_seed] = [t for t, f in steps if f.y_values is seed.y_values]
-        assert abs(t_seed - (N - i) * dt) <= 1e-14 * EX51.T
 
+    dt = EX51.T / N
     t_start = (N - k) * dt
-    delta = (EX51.T - t_start) / substeps
     ws = solver._LevelWorkspace(EX51, disc, solver.compute_coeffs(1), config)
-    field = fields[N]
-    for m in range(substeps - 1, -1, -1):
-        field = ws.step(m, t_start + m * delta, delta, {1: field})
-    np.testing.assert_array_equal(fields[N - k].y_values, field.y_values)
-    np.testing.assert_array_equal(fields[N - k].z_values, field.z_values)
+    landed = {}
+    for steps in (substeps, substeps // 2):
+        delta = (EX51.T - t_start) / steps
+        field = fields[N]
+        for m in range(steps - 1, -1, -1):
+            t_n = t_start + m * delta
+            field = ws.step(m, t_n, delta, {1: field})
+            if m % (steps // k) == 0:
+                level = N - k + m // (steps // k)
+                assert abs(t_n - level * dt) <= 1e-14 * EX51.T
+                landed.setdefault(level, []).append(field)
+    assert len(ws.picard_counts) == len(chain.picard_counts) == substeps + substeps // 2
+    assert sorted(landed) == list(range(N - k, N))
+    for level, (fine, coarse) in landed.items():
+        seed = fields[level]
+        assert seed.level == level
+        np.testing.assert_array_equal(seed.y_values, 2.0 * fine.y_values - coarse.y_values)
+        np.testing.assert_array_equal(seed.z_values, 2.0 * fine.z_values - coarse.z_values)
+
+
+@pytest.mark.parametrize("cap", [13, 40, 100])
+def test_bootstrap_chains_stay_under_the_cap(monkeypatch, cap):
+    # BOOTSTRAP_MAX_SUBSTEPS bounds the fine and the coarse chain together,
+    # and the fine chain's M stays a multiple of 2k so both land on every
+    # seed level
+    monkeypatch.setattr(solver, "BOOTSTRAP_MAX_SUBSTEPS", cap)
+    for k in range(1, 5):
+        for N in (8, 16):
+            M = solver._bootstrap_substeps(N, k)
+            assert M % (2 * k) == 0
+            assert M + M // 2 <= cap
+    config = SolverConfig(k=4, N=16, terminal_mode="bootstrap")
+    _, chain = init_terminal(EX51, config, discretize(EX51, config))
+    assert len(chain.picard_counts) == 3 * 4 * (cap // 12) <= cap
 
 
 def _unconverged_warnings(caplog, problem, config):
@@ -477,7 +533,7 @@ def test_bootstrap_sub_levels_accepted_unconverged_warn(caplog):
     config = SolverConfig(k=1, N=8, terminal_mode="bootstrap", max_outer=4)
     warned = _unconverged_warnings(caplog, registry_get("ex54b"), config)
     assert len(warned) == 1
-    assert "8 of 8 bootstrap sub-levels" in warned[0]
+    assert "3 of 3 bootstrap sub-levels" in warned[0]
 
 
 def test_coupled_outer_counts_small():
@@ -594,15 +650,17 @@ def _assert_same_result(a, b):
 def test_plan_reuse_changes_no_result(monkeypatch, k, N, mode):
     # ex52_bs's forward coefficients do not depend on t, so every level after
     # the first repeats them: the plans are built on the second level of each
-    # workspace (the k = 1 bootstrap chain's too) and applied on the rest.
+    # workspace and applied on the rest.  The bootstrap workspace builds them
+    # at the second sub-level of each chain: the coarse chain's new sub-step
+    # drops the fine chain's plans.
     config = SolverConfig(k=k, N=N, terminal_mode=mode)
     reused, built = _solve_recording_plans(monkeypatch, EX52, config)
     streamed, none = _solve_recording_plans(monkeypatch, EX52, config, cap=0)
     _assert_same_result(reused, streamed)
     assert none == []
     sweep = [(k, N - k - 2)] * k
-    substeps = min(BOOTSTRAP_MAX_SUBSTEPS, N**k) // k * k  # chain levels substeps-1 .. 0
-    chain = [(1, substeps - 2)] if mode == "bootstrap" else []
+    substeps = solver._bootstrap_substeps(N, k)  # fine chain levels substeps-1 .. 0
+    chain = [(1, substeps - 2), (1, substeps // 2 - 2)] if mode == "bootstrap" else []
     assert built == chain + sweep
 
 
