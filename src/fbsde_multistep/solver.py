@@ -676,22 +676,6 @@ def _bootstrap_substeps(N, k):
     return 2 * k * min(m, BOOTSTRAP_MAX_SUBSTEPS // (3 * k))
 
 
-def _euler_chain(ws, terminal, t_start, span, steps, every):
-    """Step a k=1 chain from ``terminal`` at t_start + span down to t_start.
-
-    It takes ``steps`` uniform sub-steps and returns, keyed by i, the
-    sub-level at t_start + i*every*span/steps.
-    """
-    delta = span / steps
-    kept = {}
-    field = terminal
-    for m in range(steps - 1, -1, -1):
-        field = ws.step(m, t_start + m * delta, delta, {1: field})
-        if m % every == 0:
-            kept[m // every] = field
-    return kept
-
-
 def _bootstrap_chain(problem, config, disc, terminal):
     """Seed levels N-1 .. N-k by Richardson extrapolation of two k=1 chains.
 
@@ -706,18 +690,22 @@ def _bootstrap_chain(problem, config, disc, terminal):
     """
     N, k = config.N, config.k
     t_start = (N - k) * (problem.T / N)
-    span = problem.T - t_start
     M = _bootstrap_substeps(N, k)
     ws = _LevelWorkspace(problem, disc, compute_coeffs(1), config)
-    fine = _euler_chain(ws, terminal, t_start, span, M, M // k)
-    coarse = _euler_chain(ws, terminal, t_start, span, M // 2, M // (2 * k))
-    seeds = {}
-    for i in range(k):
-        f, c = fine[i], coarse[i]
-        level = N - k + i
-        seeds[level] = disc.field(
+    landed = {}  # seed level -> [fine sub-level, coarse sub-level]
+    for steps in (M, M // 2):
+        delta, per_seed = (problem.T - t_start) / steps, steps // k
+        field = terminal
+        for m in range(steps - 1, -1, -1):
+            field = ws.step(m, t_start + m * delta, delta, {1: field})
+            if m % per_seed == 0:
+                landed.setdefault(N - k + m // per_seed, []).append(field)
+    seeds = {
+        level: disc.field(
             problem, level, 2.0 * f.y_values - c.y_values, 2.0 * f.z_values - c.z_values
         )
+        for level, (f, c) in landed.items()
+    }
     return seeds, ws
 
 

@@ -509,7 +509,8 @@ def test_bootstrap_chains_stay_under_the_cap(monkeypatch, cap):
             assert M + M // 2 <= cap
     config = SolverConfig(k=4, N=16, terminal_mode="bootstrap")
     _, chain = init_terminal(EX51, config, discretize(EX51, config))
-    assert len(chain.picard_counts) == 3 * 4 * (cap // 12) <= cap
+    M = solver._bootstrap_substeps(config.N, config.k)
+    assert len(chain.picard_counts) == M + M // 2 <= cap
 
 
 def _unconverged_warnings(caplog, problem, config):
