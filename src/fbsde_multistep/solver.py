@@ -30,11 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .multistep import compute_coeffs, stability_report
+from .multistep import MAX_STEPS, compute_coeffs, stability_report
 from .problems import FbsdeProblem
 from .quadrature import MAX_POINTS, GaussHermiteRule, expect_gaussian, hermite_rule
 from .spacegrid import (
-    MAX_PLAN_ENTRIES,
     ActiveWindow,
     GridSpec,
     ValueField,
@@ -52,6 +51,9 @@ ENVELOPE_FACTOR = 1.2
 BOUND_INFLATION = 1.5
 EXTRA_MARGIN_CELLS = 5
 BOOTSTRAP_MAX_SUBSTEPS = 4096
+# Stencil entries a level workspace may keep in stored interpolation plans,
+# all fans together (each entry is one int64 index and one float64 weight).
+MAX_PLAN_ENTRIES = 1 << 18
 
 WORKERS_ENV_VAR = "FBSDE_NUM_WORKERS"
 
@@ -94,8 +96,8 @@ class SolverConfig:
     terminal_mode: str = "exact"
 
     def __post_init__(self):
-        if not 1 <= self.k <= 8:
-            raise ConfigError(f"step count k must be in [1, 8], got {self.k}")
+        if not 1 <= self.k <= MAX_STEPS:
+            raise ConfigError(f"step count k must be in [1, {MAX_STEPS}], got {self.k}")
         if self.N < self.k + 1:
             raise ConfigError(f"need N >= k+1, got N={self.N}, k={self.k}")
         if not 1 <= self.L <= MAX_POINTS:
@@ -188,15 +190,28 @@ def _num_workers() -> int:
     return workers
 
 
+def _require_finite(arrays, X, what, level=None):
+    """Raise PicardDivergenceError at the first row of X (the arrays' leading axis) not finite."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return
+    finite = [np.isfinite(a).reshape(X.shape[0], -1).all(axis=1) for a in arrays]
+    point = X[np.argmin(np.logical_and.reduce(finite))]
+    at = "" if level is None else f" at level {level}"
+    raise PicardDivergenceError(f"non-finite {what}{at}, point {point}", level=level, point=point)
+
+
 def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float, cap: int):
     """Terminal-level (Y, Z) used both for seeding and coefficient probing."""
     Y = np.asarray(problem.phi(X), dtype=float)
+    _require_finite([Y], X, "phi at t = T")
     if problem.grad_phi is not None:
         grad = np.asarray(problem.grad_phi(X), dtype=float)
+        _require_finite([grad], X, "grad_phi at t = T")
         # sigma may read z: resolve Z = grad_phi . sigma(T, x, phi, Z) by fixed point
         Z = np.zeros((X.shape[0], problem.p, problem.d))
         for _ in range(cap):
             sig = np.asarray(problem.sigma(problem.T, X, Y, Z), dtype=float)
+            _require_finite([sig], X, "sigma at t = T")
             Z_new = np.einsum("npq,nqd->npd", grad, sig)
             if not problem.coupled:
                 return Y, Z_new  # sigma ignores (y, z): the first image is the fixed point
@@ -282,9 +297,11 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
         bb = np.zeros(problem.q)
         ss = np.zeros(problem.q)
         for t in (0.0, 0.5 * T, T):
-            bb = np.maximum(bb, np.max(np.abs(np.asarray(problem.b(t, X, Y, Z))), axis=0))
-            sig = np.abs(np.asarray(problem.sigma(t, X, Y, Z))).sum(axis=2)
-            ss = np.maximum(ss, np.max(sig, axis=0))
+            b = np.asarray(problem.b(t, X, Y, Z), dtype=float)
+            sig = np.asarray(problem.sigma(t, X, Y, Z), dtype=float)
+            _require_finite([b, sig], X, f"b or sigma at t = {t:g}")
+            bb = np.maximum(bb, np.max(np.abs(b), axis=0))
+            ss = np.maximum(ss, np.max(np.abs(sig).sum(axis=2), axis=0))
         return bb, ss
 
     a_max = hermite_rule(config.L).max_abs_node  # the configured rule's tail
@@ -390,20 +407,14 @@ class _BroydenState:
         return v - step * factor[:, None]
 
 
-def _same_bits(a, b) -> bool:
-    """Whether two tuples of floats and arrays hold bitwise the same values."""
-    return all(
-        np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
-        for x, y in zip(a, b)
-    )
-
-
 class _LevelWorkspace:
     """The discretization, the multistep weights and the counters of one sweep.
 
-    It also remembers the latest pass's forward coefficients (dt, b_n,
-    sigma_n) with their safe mask and, once a pass repeats them bitwise, the
-    interpolation plan of each j's quadrature fan (see :meth:`step`).
+    A level's outer iterate, its image, band values and residual are
+    (n, p + p*d) row arrays [y | z], the Broyden accelerator's layout.  It
+    also remembers the latest pass's forward coefficients (dt, b_n, sigma_n)
+    with their safe mask and, once a pass repeats them, the interpolation
+    plan of each j's quadrature fan (see :meth:`step`).
     """
 
     def __init__(self, problem, disc, coeffs, config, band_exact=False):
@@ -421,28 +432,27 @@ class _LevelWorkspace:
         self._coeff_key = None  # (dt, b_n, sigma_n) of the latest pass
         self._mask = None  # its safe mask
         self._plans = None  # j -> plan of the fan under _coeff_key on the _mask rows
-        self._pass_store = None  # the current pass's plan store, None to stream
 
     def _rows(self, field: ValueField):
-        """A history field's (Y, Z) as per-point rows (every field shares the window)."""
+        """A history field's values as per-point rows [y | z] (every field shares the window)."""
         n = self.disc.X.shape[0]
-        return field.y_values.reshape(n, -1), field.z_values.reshape(n, self.problem.p, -1)
+        return np.concatenate([field.y_values.reshape(n, -1), field.z_values.reshape(n, -1)], 1)
 
-    def _band_values(self, t_n, unsafe, y_next, z_next):
-        """Far-field values for the edge band.
+    def _band_values(self, t_n, unsafe, v_next):
+        """Far-field rows [y | z] for the edge band, shape (unsafe count, p + p*d).
 
         With exact seeding the band tracks the exact solution, acting as an
         artificial boundary condition consistent with the interior to scheme
-        accuracy; otherwise it transports the previous level's values, which
-        is non-amplifying but goes stale for long horizons.
+        accuracy; otherwise it transports the previous level's rows
+        ``v_next``, which is non-amplifying but goes stale for long horizons.
         """
-        if self.band_exact:
-            Xb = self.disc.X[unsafe]
-            return (
-                np.asarray(self.problem.exact_y(t_n, Xb), dtype=float),
-                np.asarray(self.problem.exact_z(t_n, Xb), dtype=float),
-            )
-        return y_next[unsafe], z_next[unsafe]
+        if not self.band_exact:
+            return v_next[unsafe]
+        problem, Xb = self.problem, self.disc.X[unsafe]
+        m = Xb.shape[0]  # explicit widths: an empty band still has p + p*d columns
+        y = np.asarray(problem.exact_y(t_n, Xb), dtype=float).reshape(m, problem.p)
+        z = np.asarray(problem.exact_z(t_n, Xb), dtype=float).reshape(m, problem.p * problem.d)
+        return np.concatenate([y, z], 1)
 
     def _safe_mask(self, dt, b_n, sig_n):
         """Points whose quadrature fan stays inside the static hull for all j <= k.
@@ -489,18 +499,19 @@ class _LevelWorkspace:
             self._plans = {}
         return self._plans
 
-    def _expectations(self, dt, X, b_n, sig_n, history):
+    def _expectations(self, dt, X, b_n, sig_n, history, plans):
         """E[Y^{n+j}] and E[Y^{n+j} dW^T] for j = 1..k via Gauss-Hermite.
 
         ``X`` holds the rows to evaluate, safe under ``b_n`` and ``sig_n``,
         their forward coefficients.  One quadrature call per j reads the
         history field at the whole fan of Euler predictors (every node at
         every row) and returns Y (x) (1, dW), dW carrying the sqrt(2 j dt)
-        node scaling.  Without a plan store for the pass the fan is read in
-        one interpolation call; with one, the fan's stored plan (built on
-        first use) is applied to the field, bitwise the same values.
+        node scaling.  With ``plans``, the pass's store from
+        :meth:`_pass_plans`, None the fan is read in one interpolation call;
+        otherwise its stored plan (built on first use) is applied to the
+        field, bitwise the same values.
         """
-        problem, disc, plans = self.problem, self.disc, self._pass_store
+        problem, disc = self.problem, self.disc
         n, q, p = X.shape[0], problem.q, problem.p
         EY = np.empty((self.k, n, p))
         EYW = np.empty((self.k, n, p, problem.d))
@@ -537,14 +548,7 @@ class _LevelWorkspace:
         diff = None
         for it in range(self.max_picard):
             y_new = (rhs - np.asarray(self.problem.f(t_n, X, y, Z))) / alpha0
-            finite = np.isfinite(y_new)
-            if not finite.all():
-                bad = np.argwhere(~finite)[0][0]
-                raise PicardDivergenceError(
-                    f"non-finite implicit Y iterate at level {level}, point {X[bad]}",
-                    level=level,
-                    point=X[bad],
-                )
+            _require_finite([y_new], X, "implicit Y iterate", level)
             diff = np.abs(y_new - y)
             y = y_new
             if np.max(diff) <= self.eps0:
@@ -566,39 +570,36 @@ class _LevelWorkspace:
         iterates stop on max(|dY|, |dZ|) < eps0 exactly as the plain loop
         would, but reach it in a handful of coefficient rebuilds even where
         the plain contraction is slow.  ``history[j]`` is the field of level
-        ``level + j``.
+        ``level + j``.  The iterate v and its image g are [y | z] rows; b,
+        sigma and f read Y and Z as views of them.
 
-        A pass whose (dt, b_n, sigma_n) are bitwise those of the workspace's
-        previous pass (a level of a problem whose forward coefficients do
-        not depend on t, or a repeated outer iterate) reuses that pass's safe
-        mask.  If it also runs on exactly those safe rows and the k plans fit
-        in MAX_PLAN_ENTRIES, it reads each fan through a stored interpolation
-        plan, built on the first such pass and applied on every later one.
-        Any other pass streams its fans through ``interpolate_values``; a
-        pass with new coefficients also drops the stored plans.  Every value
-        is bitwise the same either way.
+        A pass whose (dt, b_n, sigma_n) equal in value those of the
+        workspace's previous pass (a level of a problem whose forward
+        coefficients do not depend on t, or a repeated outer iterate) reuses
+        that pass's safe mask: equal values give the same fans, and NaN never
+        repeats.  If it also runs on exactly those safe rows and the k plans
+        fit in MAX_PLAN_ENTRIES, it reads each fan through a stored
+        interpolation plan, built on the first such pass and applied on every
+        later one.  Any other pass streams its fans; a pass with new
+        coefficients drops the stored plans and raises PicardDivergenceError
+        at the first point where they are not finite.  Every value is
+        bitwise the same either way.
         """
         problem, X = self.problem, self.disc.X
-        n = X.shape[0]
-        p, d = problem.p, problem.d
-        y_next, z_next = self._rows(history[1])
+        n, p, d = X.shape[0], problem.p, problem.d
+        v_next = self._rows(history[1])
         # The Picard limit does not depend on the start, only the count does:
         # a linear-in-time extrapolation of the two newest levels beats the
         # plain warm start by one order in dt.
-        if self.k >= 2:
-            y_far, z_far = self._rows(history[2])
-            y_cur = 2.0 * y_next - y_far
-            z_cur = 2.0 * z_next - z_far
-        else:
-            y_cur, z_cur = y_next, z_next
+        v = 2.0 * v_next - self._rows(history[2]) if self.k >= 2 else v_next
         alpha = self.coeffs.alphas(dt)
         if self._broyden is not None:
             self._broyden.new_level()
         safe = None
-        y_diff = None
         first_delta = None
-        gy, gz = np.empty_like(y_cur), np.empty_like(z_cur)
+        g = np.empty_like(v)
         for outer in range(self.max_outer):
+            y_cur, z_cur = v[:, :p], v[:, p:].reshape(n, p, d)
             b_n = np.asarray(problem.b(t_n, X, y_cur, z_cur), dtype=float)
             sig_n = np.asarray(problem.sigma(t_n, X, y_cur, z_cur), dtype=float)
             # The scheme runs on the safe rows only; the band rows just take
@@ -606,33 +607,33 @@ class _LevelWorkspace:
             # and sigma, which can move a safe row's fan out of the hull: the
             # row then joins the band for the rest of the level, its iterate
             # pinned to the band value.
-            key = (dt, b_n, sig_n)
-            repeated = self._coeff_key is not None and _same_bits(key, self._coeff_key)
+            key, prev = (dt, b_n, sig_n), self._coeff_key
+            repeated = prev is not None and all(map(np.array_equal, key, prev))
             if not repeated:
+                _require_finite([b_n, sig_n], X, "b or sigma", level)
                 self._coeff_key, self._mask, self._plans = key, self._safe_mask(*key), None
             mask = self._mask
             if safe is None or np.any(safe & ~mask):
                 safe = mask if safe is None else safe & mask
                 unsafe = ~safe
                 X_safe = X[safe]
-                band_y, band_z = self._band_values(t_n, unsafe, y_next, z_next)
+                band = self._band_values(t_n, unsafe, v_next)
                 if outer > 0:
-                    y_cur[unsafe] = band_y
-                    z_cur[unsafe] = band_z
-            self._pass_store = self._pass_plans(repeated, safe)
-            EY, EYW = self._expectations(dt, X_safe, b_n[safe], sig_n[safe], history)
+                    v[unsafe] = band
+            plans = self._pass_plans(repeated, safe)
+            EY, EYW = self._expectations(dt, X_safe, b_n[safe], sig_n[safe], history, plans)
             z_safe = np.einsum("j,jnpd->npd", alpha[1:], EYW)
             rhs = -np.einsum("j,jnp->np", alpha[1:], EY)
             y_safe, iters = self._implicit_y(
-                t_n, X_safe, rhs, z_safe, y_cur[safe], alpha[0], level
+                t_n, X_safe, rhs, z_safe, v[safe, :p], alpha[0], level
             )
-            gy[safe], gz[safe] = y_safe, z_safe
-            gy[unsafe], gz[unsafe] = band_y, band_z
+            g[safe, :p], g[safe, p:] = y_safe, z_safe.reshape(len(X_safe), p * d)
+            g[unsafe] = band
             # For plain iteration |v_{l+1} - v_l| equals the residual
             # |G(v_l) - v_l|, so the residual is the faithful reading of the
             # consecutive-difference tolerance under acceleration.
-            y_diff = np.abs(gy - y_cur)
-            delta = max(float(np.max(y_diff)), float(np.max(np.abs(gz - z_cur))))
+            res = np.abs(g - v)
+            delta = float(np.max(res))
             if first_delta is None:
                 first_delta = delta
             if delta < self.eps0 or outer + 1 == self.max_outer:
@@ -644,21 +645,16 @@ class _LevelWorkspace:
                         self.unconverged.append(delta)
                 else:
                     self.picard_counts.append(iters)
-                return self.disc.field(problem, level, gy, gz)
+                return self.disc.field(problem, level, g[:, :p], g[:, p:])
             if self._broyden is None:
-                self._broyden = _BroydenState(n, p + p * d)
-            packed_v = np.concatenate([y_cur, z_cur.reshape(n, p * d)], axis=1)
-            packed_g = np.concatenate([gy, gz.reshape(n, p * d)], axis=1)
-            packed_new = self._broyden.step(packed_v, packed_g)
-            y_cur = packed_new[:, :p].copy()
-            z_cur = packed_new[:, p:].reshape(n, p, d).copy()
-            y_cur[unsafe] = band_y
-            z_cur[unsafe] = band_z
-        worst = np.unravel_index(np.argmax(y_diff), y_cur.shape)
+                self._broyden = _BroydenState(n, v.shape[1])
+            v = self._broyden.step(v, g)
+            v[unsafe] = band
+        worst = X[np.argmax(res[:, :p]) // p]  # the worst Y row
         raise PicardDivergenceError(
-            f"coupled Picard iteration stuck at level {level}, point {X[worst[0]]}",
+            f"coupled Picard iteration stuck at level {level}, point {worst}",
             level=level,
-            point=X[worst[0]],
+            point=worst,
         )
 
 

@@ -18,9 +18,6 @@ import numpy as np
 
 # Stencil entries (queries times (r+1)^q) per query block of interpolate_values.
 _BLOCK_ENTRIES = 1 << 14
-# Stencil entries a solver level may keep in stored interpolation plans, all
-# fans together (each entry is one int64 index and one float64 weight).
-MAX_PLAN_ENTRIES = 1 << 18
 
 
 class OutOfDomainError(ValueError):

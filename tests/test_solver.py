@@ -79,6 +79,8 @@ def test_auto_spacing_uses_problem_scale():
 def test_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(k=0, N=16)
+    with pytest.raises(ConfigError, match=r"\[1, 8\]"):
+        SolverConfig(k=9, N=16)
     with pytest.raises(ConfigError):
         SolverConfig(k=3, N=3)
     with pytest.raises(ConfigError):
@@ -391,7 +393,7 @@ def test_safe_row_fans_stay_inside_the_hull(monkeypatch):
     passes = []
     expectations = solver._LevelWorkspace._expectations
 
-    def checked(self, dt, X, b_n, sig_n, history):
+    def checked(self, dt, X, b_n, sig_n, history, plans):
         disc = self.disc
         v = math.sqrt(2.0) * disc.rule.nodes
         tol = 1e-12 * disc.h
@@ -402,7 +404,7 @@ def test_safe_row_fans_stay_inside_the_hull(monkeypatch):
             assert np.all(Xq >= disc.lo[None, :, None] - tol)
             assert np.all(Xq <= disc.hi[None, :, None] + tol)
         passes.append(X.shape[0])
-        return expectations(self, dt, X, b_n, sig_n, history)
+        return expectations(self, dt, X, b_n, sig_n, history, plans)
 
     monkeypatch.setattr(solver._LevelWorkspace, "_expectations", checked)
     config = SolverConfig(k=1, N=8, terminal_mode="bootstrap")
@@ -593,6 +595,73 @@ def test_non_finite_f_fails_fast():
     np.testing.assert_array_equal(info.value.point, calls[-1])
 
 
+def _poisoned(problem, callback, when, cut=2.0):
+    """``problem`` whose ``callback`` is NaN at x > cut whenever ``when(t)`` holds.
+
+    phi and grad_phi take no t and are poisoned on every call.  Returns the
+    problem and a list recording, per call, whether the image held a NaN.
+    """
+    original, images = getattr(problem, callback), []
+
+    def poisoned(*args):
+        X = args[0] if len(args) == 1 else args[1]
+        out = np.array(original(*args), dtype=float)
+        if len(args) == 1 or when(args[0]):
+            out[X[:, 0] > cut] = np.nan
+        images.append(bool(np.isnan(out).any()))
+        return out
+
+    return dataclasses.replace(problem, **{callback: poisoned}), images
+
+
+@pytest.mark.parametrize("callback, cut", [("sigma", 5.0), ("sigma", 2.5), ("b", 5.0)])
+def test_non_finite_coefficients_in_a_sweep_pass_fail_typed(callback, cut):
+    # A NaN fan reach once joined the far-field band silently (x > 5) or
+    # reached x0's stencil and raised the window sizing error (x > 2.5);
+    # both now raise at the first level and point where b or sigma is NaN.
+    problem, _ = _poisoned(EX51, callback, lambda t: 0.55 < t < 0.8, cut)
+    config = SolverConfig(k=2, N=16)
+    X = discretize(problem, config).X
+    with pytest.raises(PicardDivergenceError, match="non-finite b or sigma") as info:
+        solve(problem, config)
+    assert info.value.level == 12  # t = 0.75, the first level below 0.8
+    np.testing.assert_array_equal(info.value.point, X[X[:, 0] > cut][0])
+
+
+def test_non_finite_sigma_in_a_bootstrap_chain_fails_typed():
+    problem, _ = _poisoned(EX51, "sigma", lambda t: 0.8 < t < 0.95, 5.0)
+    config = SolverConfig(k=2, N=8, terminal_mode="bootstrap")
+    with pytest.raises(PicardDivergenceError, match="non-finite b or sigma") as info:
+        solve(problem, config)
+    # the fine chain runs first, its sub-levels m = M-1 .. 0 at 0.75 + m*delta
+    M = solver._bootstrap_substeps(config.N, config.k)
+    delta = 0.25 / M
+    assert info.value.level == max(m for m in range(M) if 0.75 + m * delta < 0.95)
+    assert info.value.point[0] > 5.0
+
+
+@pytest.mark.parametrize(
+    "name, callback", [("ex51", "phi"), ("ex51", "grad_phi"), ("ex51", "sigma"), ("ex55", "sigma")]
+)
+def test_non_finite_terminal_values_fail_at_the_first_one(name, callback):
+    # A NaN sigma image at t = T once ran ex55's coupled Z fixed point to its
+    # cap and blamed an expansive sigma, and reached ex51's node count as an
+    # untyped ValueError; now the first non-finite value raises at its point.
+    problem, images = _poisoned(registry_get(name), callback, lambda t: t == 1.0)
+    with pytest.raises(PicardDivergenceError, match=f"non-finite {callback} at t = T") as info:
+        solve(problem, SolverConfig(k=2, N=8))
+    assert images.count(True) == 1 and images[-1]
+    assert info.value.point[0] > 2.0
+
+
+def test_non_finite_coefficient_probe_fails_typed():
+    # the coefficient probe reads b and sigma at t = 0, T/2 and T
+    problem, _ = _poisoned(EX51, "sigma", lambda t: t == 0.5)
+    with pytest.raises(PicardDivergenceError, match="b or sigma at t = 0.5") as info:
+        discretize(problem, SolverConfig(k=2, N=8))
+    assert info.value.point[0] > 2.0
+
+
 def _node_count(caplog, problem, config):
     caplog.clear()
     with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
@@ -743,3 +812,19 @@ def test_plans_past_the_cap_are_not_stored(monkeypatch, L, stores):
     _assert_same_result(reused, streamed)
     assert built == ([(2, 4)] * 2 if stores else [])
     assert reused.err_y[0] < 1e-4
+
+
+def test_signed_zero_coefficients_repeat(monkeypatch):
+    # A pass repeats its predecessor when its coefficients are equal in
+    # value: a drift of -0.0 on every other level moves no predictor, so the
+    # plans are still built once, on the second level, and every value is
+    # that of the +0.0 drift.
+    def b(t, X, Y, Z):
+        return np.full_like(X, -0.0 if round(t * 8) % 2 else 0.0)
+
+    config = SolverConfig(k=2, N=8, L=4)
+    reused, built = _solve_recording_plans(
+        monkeypatch, dataclasses.replace(HEAT_D2, b=b), config
+    )
+    _assert_same_result(reused, solve(HEAT_D2, config))
+    assert built == [(2, 4)] * 2
