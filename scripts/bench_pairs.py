@@ -3,7 +3,8 @@
 Run from the root of a checkout:
 
     python3 scripts/bench_pairs.py --base HEAD --pairs ladder_1d=5 \
-        --pairs coupled_1d=2 --out BENCH_example.json
+        --pairs coupled_1d=2 --tests tests/test_acceptance.py::test_name \
+        --out BENCH_example.json
 
 The base revision is exported with ``git archive`` into a temporary directory,
 so nothing is written under ``.git`` or ``src/``.  Pair i runs
@@ -16,6 +17,11 @@ first run, every run's end-to-end metrics, and per side the median and the
 quartiles of each metric, in the order ``perfbench/run.py`` reports them (the
 error geomeans sit next to the timings), plus how many pairs the working tree
 won on each metric.
+
+Each ``--tests NODEID`` runs ``python3 -m pytest -q NODEID`` once per side
+(the base first), with PYTHONPATH set to that side's ``src``; the file then
+holds, per node id and side, the wall time of the run, pytest's own reported
+duration, its outcome counts and its exit code.
 """
 
 from __future__ import annotations
@@ -23,11 +29,14 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +51,20 @@ def parse_run(stdout: str) -> tuple[dict, dict]:
     if not envs:
         raise ValueError("run output has no environment line")
     return envs[0], json.loads(lines[-1])
+
+
+def parse_pytest_summary(stdout: str) -> tuple[dict[str, int], float]:
+    """Outcome counts and duration from the summary line of a pytest run.
+
+    The line reads like "2 failed, 369 passed, 1 warning in 95.12s (0:01:35)";
+    counts are keyed by the word pytest prints ("passed", "failed", ...).
+    """
+    for line in reversed(stdout.strip().splitlines()):
+        duration = re.search(r" in ([0-9.]+)s\b", line)
+        if duration:
+            counts = {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", line)}
+            return counts, float(duration.group(1))
+    raise ValueError("pytest output has no summary line")
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -109,13 +132,31 @@ def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     return parse_run(proc.stdout)
 
 
+def time_tests(tree: Path, nodeid: str) -> dict:
+    """Run one pytest node id against ``tree``'s source; its timing and outcome."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", nodeid],
+        cwd=str(tree), env=env, capture_output=True, text=True, timeout=3600,
+    )
+    wall = time.perf_counter() - started
+    counts, seconds = parse_pytest_summary(proc.stdout)
+    return {"wall_s": wall, "pytest_s": seconds, "outcomes": counts,
+            "exit_code": proc.returncode}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
+    parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N",
                         help="run N pairs of WORKLOAD (repeatable)")
+    parser.add_argument("--tests", action="append", default=[], metavar="NODEID",
+                        help="time one pytest node id on each side (repeatable)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
+    if not args.pairs and not args.tests:
+        parser.error("give at least one --pairs or --tests")
     plan = []
     for item in args.pairs:
         workload, _, count = item.partition("=")
@@ -142,6 +183,13 @@ def main(argv=None) -> int:
                 wall = [pair[s]["metrics"]["wall_s"]["value"] for s in SIDES]
                 print(f"{workload} pair {seed}: wall_s {wall[0]:.3f} -> {wall[1]:.3f}", flush=True)
             report["workloads"][workload] = {"summary": summarise(pairs, better), "pairs": pairs}
+        if args.tests:
+            report["tests"] = {}
+        for nodeid in args.tests:
+            timed = {side: time_tests(trees[side], nodeid) for side in SIDES}
+            report["tests"][nodeid] = timed
+            print(f"{nodeid}: wall_s {timed['base']['wall_s']:.1f} -> "
+                  f"{timed['head']['wall_s']:.1f}", flush=True)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -48,12 +48,19 @@ logger = logging.getLogger(__name__)
 # per side, a_max being the extreme node of the configured (not the raised) rule,
 # with coefficient bounds inflated by BOUND_INFLATION over probed values.
 ENVELOPE_FACTOR = 1.2
+# A coupled level's outer loop stops once its residual falls below this
+# fraction of the scheme's local error dt^(k+1) (never below eps0).
+OUTER_TOL_FRACTION = 1e-2
 BOUND_INFLATION = 1.5
 EXTRA_MARGIN_CELLS = 5
 BOOTSTRAP_MAX_SUBSTEPS = 4096
 # Stencil entries a level workspace may keep in stored interpolation plans,
 # all fans together (each entry is one int64 index and one float64 weight).
 MAX_PLAN_ENTRIES = 1 << 18
+
+# Warm-start weights of the level step, by the number of history levels
+# given: the degree 0, 1 and 2 extrapolations in time through the newest ones.
+PREDICTOR_WEIGHTS = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
 
 WORKERS_ENV_VAR = "FBSDE_NUM_WORKERS"
 
@@ -87,11 +94,11 @@ class SolverConfig:
     h: Optional[float] = None
     eps0: float = 1e-11
     max_picard: int = 100
-    # Budget for the coupled outer loop.  The tolerance eps0 is the early
-    # exit; when the budget runs out while the iteration is still
-    # contracting, the current image is accepted (the remaining iteration
-    # residual sits below the scheme error, which is how the benchmark
-    # tables were produced), and an actual divergence still raises.
+    # Budget for the coupled outer loop.  A level exits early once its
+    # residual falls below max(eps0, OUTER_TOL_FRACTION * dt^(k+1)), a
+    # fraction of the scheme's local error; when the budget runs out while
+    # the iteration is still contracting, the current image is accepted
+    # (and warned about), and an actual divergence still raises.
     max_outer: int = 6
     terminal_mode: str = "exact"
 
@@ -367,7 +374,10 @@ class _BroydenState:
     F(v) = G(v) - v, seeded with -I so the first step reproduces plain
     iteration; good-Broyden rank-1 updates then capture the y/z
     cross-coupling of the outer map, whose plain contraction can be as slow
-    as ~0.9 where the forward coefficients react strongly to (y, z).
+    as ~0.9 where the forward coefficients react strongly to (y, z).  A row
+    whose residual norm grew since the previous pass restarts from -I: its
+    Jacobian is stale (say, next to the far-field band), and plain
+    iteration is the safe step there.
     """
 
     def __init__(self, n: int, m: int):
@@ -384,6 +394,7 @@ class _BroydenState:
 
     def step(self, v: np.ndarray, g: np.ndarray) -> np.ndarray:
         residual = g - v
+        res_norm = np.linalg.norm(residual, axis=1)
         if self.v is not None:
             s = v - self.v
             y = residual - self.residual
@@ -396,13 +407,14 @@ class _BroydenState:
             update = num[:, :, None] * st_binv[:, None, :]
             update /= np.where(ok, denom, 1.0)[:, None, None]
             self.inv_jac = self.inv_jac + np.where(ok[:, None, None], update, 0.0)
+            grew = res_norm > np.linalg.norm(self.residual, axis=1)
+            self.inv_jac[grew] = -np.eye(v.shape[1])
         self.v = v
         self.residual = residual
         step = np.einsum("nij,nj->ni", self.inv_jac, residual)
         # Trust cap: a stale Jacobian must not fling iterates; plain
         # iteration corresponds to |step| = |residual|.
         step_norm = np.linalg.norm(step, axis=1)
-        res_norm = np.linalg.norm(residual, axis=1)
         factor = np.minimum(1.0, 4.0 * res_norm / np.maximum(step_norm, 1e-300))
         return v - step * factor[:, None]
 
@@ -427,7 +439,8 @@ class _LevelWorkspace:
         self.max_outer = config.max_outer if problem.coupled else 1
         self.band_exact = band_exact
         self.picard_counts: list[int] = []
-        self.unconverged: list[float] = []  # residuals accepted at or above eps0
+        # (residual, tolerance) of each level whose outer budget ran out
+        self.unconverged: list[tuple[float, float]] = []
         self._broyden = None
         self._coeff_key = None  # (dt, b_n, sigma_n) of the latest pass
         self._mask = None  # its safe mask
@@ -438,7 +451,7 @@ class _LevelWorkspace:
         n = self.disc.X.shape[0]
         return np.concatenate([field.y_values.reshape(n, -1), field.z_values.reshape(n, -1)], 1)
 
-    def _band_values(self, t_n, unsafe, v_next):
+    def _band_values(self, level, t_n, unsafe, v_next):
         """Far-field rows [y | z] for the edge band, shape (unsafe count, p + p*d).
 
         With exact seeding the band tracks the exact solution, acting as an
@@ -452,6 +465,7 @@ class _LevelWorkspace:
         m = Xb.shape[0]  # explicit widths: an empty band still has p + p*d columns
         y = np.asarray(problem.exact_y(t_n, Xb), dtype=float).reshape(m, problem.p)
         z = np.asarray(problem.exact_z(t_n, Xb), dtype=float).reshape(m, problem.p * problem.d)
+        _require_finite([y, z], Xb, "exact_y or exact_z in the far-field band", level)
         return np.concatenate([y, z], 1)
 
     def _safe_mask(self, dt, b_n, sig_n):
@@ -566,12 +580,18 @@ class _LevelWorkspace:
         Each pass evaluates the Scheme-5 update (Euler predictors at the
         current (Y, Z) iterate, explicit Z, implicit Y).  A decoupled problem
         gets one pass, since its predictors do not depend on the iterate.  A
-        coupled one feeds each image to a per-point Broyden accelerator;
-        iterates stop on max(|dY|, |dZ|) < eps0 exactly as the plain loop
-        would, but reach it in a handful of coefficient rebuilds even where
-        the plain contraction is slow.  ``history[j]`` is the field of level
-        ``level + j``.  The iterate v and its image g are [y | z] rows; b,
-        sigma and f read Y and Z as views of them.
+        coupled one feeds each image to a per-point Broyden accelerator and
+        stops once the residual max(|dY|, |dZ|) falls below
+        max(eps0, OUTER_TOL_FRACTION * dt^(k+1)), a small fraction of the
+        scheme's local error, as implicit ODE codes stop their Newton
+        iteration (Hairer & Wanner, Solving ODEs II, IV.8); a residual
+        above both the first pass's and that tolerance is a divergence.
+        ``history[j]`` is the field of level ``level + j`` for j = 1..k and
+        up to j = 3; the warm start is the time extrapolation of degree
+        min(2, len(history) - 1) through the newest levels
+        (PREDICTOR_WEIGHTS), so the implicit-Y Picard iteration, which keeps
+        eps0, also starts closer.  The iterate v and its image g are
+        [y | z] rows; b, sigma and f read Y and Z as views of them.
 
         A pass whose (dt, b_n, sigma_n) equal in value those of the
         workspace's previous pass (a level of a problem whose forward
@@ -589,9 +609,11 @@ class _LevelWorkspace:
         n, p, d = X.shape[0], problem.p, problem.d
         v_next = self._rows(history[1])
         # The Picard limit does not depend on the start, only the count does:
-        # a linear-in-time extrapolation of the two newest levels beats the
-        # plain warm start by one order in dt.
-        v = 2.0 * v_next - self._rows(history[2]) if self.k >= 2 else v_next
+        # the quadratic extrapolation in time beats the plain warm start by
+        # two orders in dt.
+        weights = PREDICTOR_WEIGHTS[min(len(history), len(PREDICTOR_WEIGHTS))]
+        v = sum(w * self._rows(history[j]) for j, w in enumerate(weights, 1))
+        tol = max(self.eps0, OUTER_TOL_FRACTION * dt ** (self.k + 1))
         alpha = self.coeffs.alphas(dt)
         if self._broyden is not None:
             self._broyden.new_level()
@@ -617,7 +639,7 @@ class _LevelWorkspace:
                 safe = mask if safe is None else safe & mask
                 unsafe = ~safe
                 X_safe = X[safe]
-                band = self._band_values(t_n, unsafe, v_next)
+                band = self._band_values(level, t_n, unsafe, v_next)
                 if outer > 0:
                     v[unsafe] = band
             plans = self._pass_plans(repeated, safe)
@@ -636,13 +658,13 @@ class _LevelWorkspace:
             delta = float(np.max(res))
             if first_delta is None:
                 first_delta = delta
-            if delta < self.eps0 or outer + 1 == self.max_outer:
-                if delta > max(first_delta, self.eps0):
+            if delta < tol or outer + 1 == self.max_outer:
+                if delta > max(first_delta, tol):
                     break  # residual grew: report divergence below
                 if problem.coupled:
                     self.picard_counts.append(outer + 1)
-                    if delta >= self.eps0:
-                        self.unconverged.append(delta)
+                    if delta >= tol:
+                        self.unconverged.append((delta, tol))
                 else:
                     self.picard_counts.append(iters)
                 return self.disc.field(problem, level, g[:, :p], g[:, p:])
@@ -740,23 +762,26 @@ def init_terminal(problem, config, disc):
         return fields, chain
     for level in range(N - 1, N - k - 1, -1):
         t = level * dt
-        Y, Z = problem.exact_y(t, X), problem.exact_z(t, X)
+        Y = np.asarray(problem.exact_y(t, X), dtype=float)
+        Z = np.asarray(problem.exact_z(t, X), dtype=float)
+        _require_finite([Y, Z], X, "exact_y or exact_z", level)
         fields[level] = disc.field(problem, level, Y, Z)
     return fields, None
 
 
 def _warn_unconverged(config, sweep, chain):
-    """One warning for the outer iterates a solve accepted at or above eps0."""
-    parts, residuals = [], []
+    """One warning for the outer iterates a solve accepted when the budget ran out."""
+    parts, accepted = [], []
     for what, ws in (("sweep levels", sweep), ("bootstrap sub-levels", chain)):
         if ws is not None and ws.unconverged:
             parts.append(f"{len(ws.unconverged)} of {len(ws.picard_counts)} {what}")
-            residuals += ws.unconverged
+            accepted += ws.unconverged
     if parts:
+        residual, tol = max(accepted, key=lambda pair: pair[0] / pair[1])
         logger.warning(
-            "%s accepted an outer iterate with residual >= eps0=%g (largest %.3g) "
-            "when the max_outer=%d budget ran out",
-            " and ".join(parts), config.eps0, max(residuals), config.max_outer,
+            "%s accepted an outer iterate with residual >= the level tolerance "
+            "(worst %.3g against %.3g) when the max_outer=%d budget ran out",
+            " and ".join(parts), residual, tol, config.max_outer,
         )
 
 
@@ -782,9 +807,12 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
     ws = _LevelWorkspace(
         problem, disc, coeffs, config, band_exact=config.terminal_mode == "exact"
     )
+    # The step reads k levels and its predictor up to three.
+    kept = max(k, len(PREDICTOR_WEIGHTS))
     for n in range(N - k - 1, -1, -1):
-        fields[n] = ws.step(n, n * dt, dt, {j: fields[n + j] for j in range(1, k + 1)})
-        del fields[n + k]
+        history = {j: fields[n + j] for j in range(1, min(kept, N - n) + 1)}
+        fields[n] = ws.step(n, n * dt, dt, history)
+        fields.pop(n + kept, None)
     _warn_unconverged(config, ws, chain)
 
     final = fields[0]

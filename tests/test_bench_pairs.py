@@ -76,3 +76,15 @@ def test_summarise_single_pair_and_missing_geomean():
     assert "base" not in summary["err_y_geomean"] and "ratio" not in summary["err_y_geomean"]
     assert summary["err_y_geomean"]["head_wins"] == 0
     assert summary["cells_ok"]["head_wins"] == 1
+
+
+def test_parse_pytest_summary():
+    counts, seconds = bench_pairs.parse_pytest_summary(
+        "....F\n2 failed, 369 passed, 1 warning in 95.12s (0:01:35)\n"
+    )
+    assert counts == {"failed": 2, "passed": 369, "warning": 1}
+    assert seconds == 95.12
+    counts, seconds = bench_pairs.parse_pytest_summary(".\n1 passed in 36.10s\n\n")
+    assert counts == {"passed": 1} and seconds == 36.1
+    with pytest.raises(ValueError, match="summary"):
+        bench_pairs.parse_pytest_summary("ERROR: file or directory not found: x\n")

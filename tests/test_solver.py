@@ -264,6 +264,45 @@ def test_bootstrap_errors_track_exact_seeding(k, N):
     assert boot.err_z[0, 0] < 2.0 * exact.err_z[0, 0]
 
 
+@pytest.mark.parametrize("name, N", [("ex54a", 64), ("ex55", 32)])
+def test_coupled_bootstrap_tracks_exact_seeding(name, N):
+    # ex54a k2 N64 once stalled next to the far-field band ("stuck at level
+    # 18"); per-row Broyden restarts carry it through, at err_y 1.222663e-4
+    # against exact seeding's 1.222645e-4
+    problem = registry_get(name)
+    exact = solve(problem, SolverConfig(k=2, N=N))
+    boot = solve(problem, SolverConfig(k=2, N=N, terminal_mode="bootstrap"))
+    assert abs(boot.err_y[0] - exact.err_y[0]) < 0.01 * exact.err_y[0]
+
+
+def test_coupled_levels_stop_at_a_fraction_of_the_local_error(caplog):
+    # the quadratic predictor and the max(eps0, 0.01 dt^3) exit end every
+    # level of ex55 k2 N32 before the budget, in 3.3 passes on average
+    config = SolverConfig(k=2, N=32)
+    assert _unconverged_warnings(caplog, registry_get("ex55"), config) == []
+    stats = solve(registry_get("ex55"), config).picard_stats
+    assert stats.max_iterations < config.max_outer
+    assert stats.mean_iterations <= 3.5
+
+
+def test_broyden_restarts_rows_whose_residual_grew():
+    # row 0 contracts towards its fixed point, row 1's residual grows on the
+    # second pass: only row 1 drops back to the plain step -I
+    state = solver._BroydenState(2, 2)
+    v0 = np.array([[1.0, 1.0], [1.0, 1.0]])
+    g0 = np.array([[0.5, 0.8], [0.9, 0.9]])
+    v1 = state.step(v0, g0)
+    # the first step is plain iteration
+    np.testing.assert_allclose(v1, g0, rtol=0, atol=1e-15)
+    g1 = np.array([[0.3, 0.7], [1.5, 0.2]])
+    v2 = state.step(v1, g1)
+    np.testing.assert_array_equal(state.inv_jac[1], -np.eye(2))
+    assert not np.allclose(state.inv_jac[0], -np.eye(2))
+    np.testing.assert_allclose(v2[1], g1[1], rtol=0, atol=1e-15)
+    state.new_level()
+    assert state.residual is None and not np.allclose(state.inv_jac[0], -np.eye(2))
+
+
 def test_coupled_flag_equivalence_on_decoupled_dynamics():
     base = solve(EX51, SolverConfig(k=2, N=16))
     flagged = FbsdeProblem(
@@ -334,8 +373,9 @@ def test_decoupled_level_is_one_pass():
     calls, result = _grid_b_calls(EX51, config)
     assert calls == config.N - config.k
     # picard_stats still reports implicit-Y iterations for decoupled problems
-    # (counted over the scheme-computed rows; the copy band does not iterate)
-    assert result.picard_stats.max_iterations == 8
+    # (counted over the scheme-computed rows; the copy band does not iterate),
+    # started from the quadratic extrapolation of the newest three levels
+    assert result.picard_stats.max_iterations == 7
 
 
 def test_window_is_sized_from_the_diffusion_tail():
@@ -520,13 +560,19 @@ def _unconverged_warnings(caplog, problem, config):
     with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
         solve(problem, config)
     messages = [rec.getMessage() for rec in caplog.records]
-    return [msg for msg in messages if "residual >= eps0" in msg]
+    return [msg for msg in messages if "residual >= the level tolerance" in msg]
 
 
 def test_outer_iterates_accepted_unconverged_warn_once(caplog):
-    warned = _unconverged_warnings(caplog, registry_get("ex54b"), SolverConfig(k=1, N=16))
+    # Levels are counted only when the budget runs out above the level
+    # tolerance max(eps0, OUTER_TOL_FRACTION * dt^(k+1)); ex55 k2 N8 with
+    # bootstrap seeds stalls on two levels, one at 1.66e-3 against 1.95e-5.
+    config = SolverConfig(k=2, N=8, terminal_mode="bootstrap")
+    warned = _unconverged_warnings(caplog, registry_get("ex55"), config)
     assert len(warned) == 1
-    assert warned[0].startswith("13 of 15 sweep levels")
+    assert warned[0].startswith("2 of 6 sweep levels")
+    assert "(worst 0.00166 against 1.95e-05)" in warned[0]
+    assert _unconverged_warnings(caplog, registry_get("ex54b"), SolverConfig(k=1, N=16)) == []
     ex54a = registry_get("ex54a")
     assert _unconverged_warnings(caplog, ex54a, SolverConfig(k=2, N=64)) == []
     assert _unconverged_warnings(caplog, EX51, SolverConfig(k=2, N=16)) == []
@@ -652,6 +698,29 @@ def test_non_finite_terminal_values_fail_at_the_first_one(name, callback):
         solve(problem, SolverConfig(k=2, N=8))
     assert images.count(True) == 1 and images[-1]
     assert info.value.point[0] > 2.0
+
+
+def test_non_finite_exact_seed_fails_typed():
+    # a NaN closed form once reached ValueField as an untyped ValueError
+    problem, _ = _poisoned(EX51, "exact_y", lambda t: True, 5.0)
+    config = SolverConfig(k=2, N=16)
+    X = discretize(problem, config).X
+    with pytest.raises(PicardDivergenceError, match="non-finite exact_y or exact_z") as info:
+        solve(problem, config)
+    assert info.value.level == 15  # the first seed level
+    np.testing.assert_array_equal(info.value.point, X[X[:, 0] > 5.0][0])
+
+
+def test_non_finite_far_field_band_fails_typed():
+    # exact_z is NaN at the outermost grid point below t = 0.5 only, so the
+    # seeds are finite and the band of level 7 (t = 0.4375) is the first read
+    config = SolverConfig(k=2, N=16)
+    X = discretize(EX51, config).X
+    problem, _ = _poisoned(EX51, "exact_z", lambda t: t < 0.5, X[-2, 0])
+    with pytest.raises(PicardDivergenceError, match="exact_z in the far-field band") as info:
+        solve(problem, config)
+    assert info.value.level == 7
+    np.testing.assert_array_equal(info.value.point, X[-1])
 
 
 def test_non_finite_coefficient_probe_fails_typed():
