@@ -451,6 +451,21 @@ class _LevelWorkspace:
         n = self.disc.X.shape[0]
         return np.concatenate([field.y_values.reshape(n, -1), field.z_values.reshape(n, -1)], 1)
 
+    def _warm_start(self, history, v_next):
+        """The first iterate of a step: PREDICTOR_WEIGHTS through the newest levels.
+
+        ``v_next`` holds the rows of ``history[1]``.  A one-level history
+        starts from ``v_next`` itself (the step never writes to its first
+        iterate); longer ones build the extrapolation in one new array.
+        """
+        weights = PREDICTOR_WEIGHTS[min(len(history), len(PREDICTOR_WEIGHTS))]
+        if len(weights) == 1:
+            return v_next
+        v = weights[0] * v_next
+        for j, w in enumerate(weights[1:], 2):
+            v += w * self._rows(history[j])
+        return v
+
     def _band_values(self, level, t_n, unsafe, v_next):
         """Far-field rows [y | z] for the edge band, shape (unsafe count, p + p*d).
 
@@ -611,8 +626,7 @@ class _LevelWorkspace:
         # The Picard limit does not depend on the start, only the count does:
         # the quadratic extrapolation in time beats the plain warm start by
         # two orders in dt.
-        weights = PREDICTOR_WEIGHTS[min(len(history), len(PREDICTOR_WEIGHTS))]
-        v = sum(w * self._rows(history[j]) for j, w in enumerate(weights, 1))
+        v = self._warm_start(history, v_next)
         tol = max(self.eps0, OUTER_TOL_FRACTION * dt ** (self.k + 1))
         alpha = self.coeffs.alphas(dt)
         if self._broyden is not None:
