@@ -1,0 +1,124 @@
+"""Check that a revision and the working tree solve every benchmark cell bitwise alike.
+
+Run from the root of a checkout:
+
+    python3 scripts/same_results.py --base REV
+
+REV is exported with ``git archive`` (``bench_pairs.export_revision``) into a
+temporary directory.  Each side then solves every cell of
+``perfbench/workloads.json`` (the working tree's list, smoke cells included)
+once, in a subprocess with that side's ``src`` on PYTHONPATH.  Per cell the
+script prints a sha256 of y0, z0, err_y, err_z and picard_stats on each
+side, and it exits 1 naming each cell whose digest differs or that fails on
+one side only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, SIDES, export_revision  # noqa: E402
+
+
+def workload_cells(workloads: dict) -> list[dict]:
+    """Every (problem, k, N, terminal_mode) cell of the workloads, once, in file order."""
+    cells = {}
+    for workload in workloads.values():
+        for group in workload["specs"]:
+            for N in group["Ns"]:
+                label = f"{group['problem']}/k{group['k']}/N{N}/{group['terminal_mode']}"
+                cells.setdefault(label, {"label": label, "problem": group["problem"],
+                                         "k": group["k"], "N": N,
+                                         "terminal_mode": group["terminal_mode"]})
+    return list(cells.values())
+
+
+def result_digest(result) -> str:
+    """sha256 over the bytes and shapes of y0, z0, err_y, err_z and over picard_stats."""
+    h = hashlib.sha256()
+    for a in (result.y0, result.z0, result.err_y, result.err_z):
+        a = None if a is None else np.ascontiguousarray(a, dtype=float)
+        h.update(b"None" if a is None else repr(a.shape).encode() + a.tobytes())
+    stats = result.picard_stats
+    h.update(repr((stats.max_iterations, stats.mean_iterations)).encode())
+    return h.hexdigest()
+
+
+def solve_cells() -> None:
+    """Subprocess entry: read cells as JSON on stdin, print {label: digest or error} JSON."""
+    from fbsde_multistep import SolverConfig, registry_get, solve
+
+    out = {}
+    for cell in json.load(sys.stdin):
+        try:
+            config = SolverConfig(k=cell["k"], N=cell["N"], terminal_mode=cell["terminal_mode"])
+            out[cell["label"]] = result_digest(solve(registry_get(cell["problem"]), config))
+        except Exception as exc:  # a failing cell is an outcome to compare
+            out[cell["label"]] = f"error: {type(exc).__name__}: {exc}"
+    print(json.dumps(out))
+
+
+def side_digests(tree: Path, cells: list[dict]) -> dict[str, str]:
+    """Each cell's digest (or "error: ...") when solved with ``tree``'s source."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            "import same_results; same_results.solve_cells()")
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(cells), env=env,
+                          cwd=str(tree), capture_output=True, text=True, timeout=3600)
+    if proc.returncode != 0:
+        reason = f"error: solver process exited {proc.returncode}: {proc.stderr[-300:]}"
+        return {cell["label"]: reason for cell in cells}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def compare(digests: dict[str, dict[str, str]], labels: list[str]) -> list[tuple[str, str]]:
+    """(label, reason) of each cell whose digests differ or that fails on one side only.
+
+    ``digests`` maps each side to {label: digest}; a digest starting with
+    "error:" is a failure, and a cell a side did not report counts as one.
+    """
+    bad = []
+    for label in labels:
+        base, head = (digests[side].get(label, "error: not reported") for side in SIDES)
+        failed = [side for side, d in zip(SIDES, (base, head)) if d.startswith("error:")]
+        if len(failed) == 1:
+            bad.append((label, f"fails on {failed[0]} only"))
+        elif not failed and base != head:
+            bad.append((label, "digests differ"))
+    return bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+    cells = workload_cells(json.loads((ROOT / "perfbench" / "workloads.json").read_text()))
+    labels = [cell["label"] for cell in cells]
+    with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
+        commit = export_revision(args.base, Path(tmp))
+        digests = {"base": side_digests(Path(tmp), cells), "head": side_digests(ROOT, cells)}
+    bad = dict(compare(digests, labels))
+    for label in labels:
+        base, head = (digests[side].get(label, "error: not reported") for side in SIDES)
+        status = bad.get(label) or ("fails on both" if head.startswith("error:") else "equal")
+        print(f"{label:<28} {status:<16} head {head}" + ("" if base == head else f"  base {base}"))
+    print(f"base {args.base} ({commit[:12]}) against the working tree: "
+          f"{len(labels) - len(bad)} of {len(labels)} cells alike")
+    if bad:
+        print("cells that differ: " + ", ".join(f"{label} ({why})" for label, why in bad.items()))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -142,7 +142,7 @@ class Discretization:
     ``h`` and ``r`` are the grid spacing and the Lagrange degree, ``rule`` is
     the Gauss-Hermite rule after any node raise (``rule.L`` is the count
     actually used), ``window`` is the static window every level shares, ``X``
-    its grid points and ``lo``/``hi`` its hull.
+    its grid points, ``lo``/``hi`` its hull and ``p`` the y width of a row.
     """
 
     h: float
@@ -153,16 +153,11 @@ class Discretization:
     X: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    p: int
 
-    def field(self, problem, level, Y, Z) -> ValueField:
-        """Freeze per-point (Y, Z) rows as the field of one level on the window."""
-        ext = self.window.extents
-        return ValueField(
-            window=self.window,
-            y_values=np.asarray(Y, dtype=float).reshape(ext + (problem.p,)),
-            z_values=np.asarray(Z, dtype=float).reshape(ext + (problem.p, problem.d)),
-            level=level,
-        )
+    def field(self, level, rows) -> ValueField:
+        """Freeze per-point rows [y | z] (the step's image, as it is) as one level's field."""
+        return ValueField(self.window, rows.reshape(self.window.extents + (-1,)), self.p, level)
 
 
 @dataclass(frozen=True)
@@ -205,6 +200,12 @@ def _require_finite(arrays, X, what, level=None):
     point = X[np.argmin(np.logical_and.reduce(finite))]
     at = "" if level is None else f" at level {level}"
     raise PicardDivergenceError(f"non-finite {what}{at}, point {point}", level=level, point=point)
+
+
+def _pack(problem, Y, Z) -> np.ndarray:
+    """Per-point Y and Z given apart as rows [y | z], z row-major: (n, p + p*d)."""
+    n, p = len(Y), problem.p  # explicit widths: an empty band still has p + p*d columns
+    return np.concatenate([np.reshape(Y, (n, p)), np.reshape(Z, (n, p * problem.d))], 1)
 
 
 def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float, cap: int):
@@ -364,6 +365,7 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
         X=grid_points(spec, window),
         lo=spec.origin + spec.h * window.lo,
         hi=spec.origin + spec.h * window.hi,
+        p=problem.p,
     )
 
 
@@ -423,10 +425,11 @@ class _LevelWorkspace:
     """The discretization, the multistep weights and the counters of one sweep.
 
     A level's outer iterate, its image, band values and residual are
-    (n, p + p*d) row arrays [y | z], the Broyden accelerator's layout.  It
-    also remembers the latest pass's forward coefficients (dt, b_n, sigma_n)
-    with their safe mask and, once a pass repeats them, the interpolation
-    plan of each j's quadrature fan (see :meth:`step`).
+    (n, p + p*d) row arrays [y | z], the layout of the Broyden accelerator
+    and of every stored field, whose rows the step reads as views.  It also
+    remembers the latest pass's forward coefficients (dt, b_n, sigma_n) with
+    their safe mask and, once a pass repeats them, the interpolation plan of
+    each j's quadrature fan (see :meth:`step`).
     """
 
     def __init__(self, problem, disc, coeffs, config, band_exact=False):
@@ -446,24 +449,19 @@ class _LevelWorkspace:
         self._mask = None  # its safe mask
         self._plans = None  # j -> plan of the fan under _coeff_key on the _mask rows
 
-    def _rows(self, field: ValueField):
-        """A history field's values as per-point rows [y | z] (every field shares the window)."""
-        n = self.disc.X.shape[0]
-        return np.concatenate([field.y_values.reshape(n, -1), field.z_values.reshape(n, -1)], 1)
-
     def _warm_start(self, history, v_next):
         """The first iterate of a step: PREDICTOR_WEIGHTS through the newest levels.
 
-        ``v_next`` holds the rows of ``history[1]``.  A one-level history
-        starts from ``v_next`` itself (the step never writes to its first
-        iterate); longer ones build the extrapolation in one new array.
+        ``v_next`` holds the rows of ``history[1]``, a read-only view.  A
+        one-level history starts from ``v_next`` itself; longer ones build
+        the extrapolation in one new array.
         """
         weights = PREDICTOR_WEIGHTS[min(len(history), len(PREDICTOR_WEIGHTS))]
         if len(weights) == 1:
             return v_next
         v = weights[0] * v_next
         for j, w in enumerate(weights[1:], 2):
-            v += w * self._rows(history[j])
+            v += w * history[j].values.reshape(v.shape)
         return v
 
     def _band_values(self, level, t_n, unsafe, v_next):
@@ -477,11 +475,9 @@ class _LevelWorkspace:
         if not self.band_exact:
             return v_next[unsafe]
         problem, Xb = self.problem, self.disc.X[unsafe]
-        m = Xb.shape[0]  # explicit widths: an empty band still has p + p*d columns
-        y = np.asarray(problem.exact_y(t_n, Xb), dtype=float).reshape(m, problem.p)
-        z = np.asarray(problem.exact_z(t_n, Xb), dtype=float).reshape(m, problem.p * problem.d)
-        _require_finite([y, z], Xb, "exact_y or exact_z in the far-field band", level)
-        return np.concatenate([y, z], 1)
+        rows = _pack(problem, problem.exact_y(t_n, Xb), problem.exact_z(t_n, Xb))
+        _require_finite([rows], Xb, "exact_y or exact_z in the far-field band", level)
+        return rows
 
     def _safe_mask(self, dt, b_n, sig_n):
         """Points whose quadrature fan stays inside the static hull for all j <= k.
@@ -622,7 +618,7 @@ class _LevelWorkspace:
         """
         problem, X = self.problem, self.disc.X
         n, p, d = X.shape[0], problem.p, problem.d
-        v_next = self._rows(history[1])
+        v_next = history[1].values.reshape(n, -1)
         # The Picard limit does not depend on the start, only the count does:
         # the quadratic extrapolation in time beats the plain warm start by
         # two orders in dt.
@@ -681,7 +677,7 @@ class _LevelWorkspace:
                         self.unconverged.append((delta, tol))
                 else:
                     self.picard_counts.append(iters)
-                return self.disc.field(problem, level, g[:, :p], g[:, p:])
+                return self.disc.field(level, g)
             if self._broyden is None:
                 self._broyden = _BroydenState(n, v.shape[1])
             v = self._broyden.step(v, g)
@@ -716,9 +712,8 @@ def _bootstrap_chain(problem, config, disc, terminal):
     sub-steps (M from :func:`_bootstrap_substeps`) and a coarse one of M/2.
     Each lands a sub-level on every seed time t_{N-i}, and seed N-i is
     2*fine - coarse for both Y and Z, which cancels the chains' first-order
-    error.  Both chains run through one workspace, fine first, whose
-    counters the solve reports.  Returns the seed fields by level and that
-    workspace.
+    error.  Returns the seed fields by level and the one workspace both chains
+    run through, fine first; its counters feed only the unconverged warning.
     """
     N, k = config.N, config.k
     t_start = (N - k) * (problem.T / N)
@@ -732,12 +727,7 @@ def _bootstrap_chain(problem, config, disc, terminal):
             field = ws.step(m, t_start + m * delta, delta, {1: field})
             if m % per_seed == 0:
                 landed.setdefault(N - k + m // per_seed, []).append(field)
-    seeds = {
-        level: disc.field(
-            problem, level, 2.0 * f.y_values - c.y_values, 2.0 * f.z_values - c.z_values
-        )
-        for level, (f, c) in landed.items()
-    }
+    seeds = {lv: disc.field(lv, 2.0 * f.values - c.values) for lv, (f, c) in landed.items()}
     return seeds, ws
 
 
@@ -769,17 +759,16 @@ def init_terminal(problem, config, disc):
 
     X = disc.X
     Y, Z = _terminal_yz_probe(problem, X, config.eps0, config.max_picard)
-    fields = {N: disc.field(problem, N, Y, Z)}
+    fields = {N: disc.field(N, _pack(problem, Y, Z))}
     if config.terminal_mode == "bootstrap":
         seeds, chain = _bootstrap_chain(problem, config, disc, fields[N])
         fields.update(seeds)
         return fields, chain
     for level in range(N - 1, N - k - 1, -1):
         t = level * dt
-        Y = np.asarray(problem.exact_y(t, X), dtype=float)
-        Z = np.asarray(problem.exact_z(t, X), dtype=float)
-        _require_finite([Y, Z], X, "exact_y or exact_z", level)
-        fields[level] = disc.field(problem, level, Y, Z)
+        rows = _pack(problem, problem.exact_y(t, X), problem.exact_z(t, X))
+        _require_finite([rows], X, "exact_y or exact_z", level)
+        fields[level] = disc.field(level, rows)
     return fields, None
 
 
@@ -829,10 +818,9 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
         fields.pop(n + kept, None)
     _warn_unconverged(config, ws, chain)
 
-    final = fields[0]
-    x0 = problem.x0[None, :]
-    y0 = interpolate_values(final.y_values, final.window, disc.spec, x0, disc.r)[0]
-    z0 = interpolate_values(final.z_values, final.window, disc.spec, x0, disc.r)[0]
+    final, x0, p = fields[0], problem.x0[None, :], problem.p
+    yz0 = interpolate_values(final.values, final.window, disc.spec, x0, disc.r)[0]
+    y0, z0 = yz0[:p], yz0[p:].reshape(p, problem.d)
 
     err_y = err_z = None
     if problem.exact_y is not None:

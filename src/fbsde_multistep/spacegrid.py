@@ -75,21 +75,34 @@ class ActiveWindow:
 class ValueField:
     """Grid samples of Y (p-vector) and Z (p x d matrix) at one time level.
 
-    Arrays are shaped (*window.extents, p) and (*window.extents, p, d); the
-    field is frozen once its level finishes, so reads are thread-safe.
+    ``values`` is (*window.extents, p + p*d), one row [y | z] per point with z
+    row-major (the level step's layout); ``y_values`` and ``z_values`` are its
+    views.  It is read-only: the field is frozen once its level finishes.
     """
 
     window: ActiveWindow
-    y_values: np.ndarray
-    z_values: np.ndarray
+    values: np.ndarray
+    p: int
     level: int
 
     def __post_init__(self):
-        ext = self.window.extents
-        if self.y_values.shape[: len(ext)] != ext or self.z_values.shape[: len(ext)] != ext:
+        values = np.asarray(self.values, dtype=float).view()
+        if values.shape[:-1] != self.window.extents:
             raise ValueError("value array extents must match the window exactly")
-        if not (np.all(np.isfinite(self.y_values)) and np.all(np.isfinite(self.z_values))):
+        if self.p < 1 or values.shape[-1] < 2 * self.p or values.shape[-1] % self.p:
+            raise ValueError(f"last axis must be p + p*d with d >= 1, got {values.shape}")
+        if not np.all(np.isfinite(values)):
             raise ValueError(f"non-finite values stored at level {self.level}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def y_values(self) -> np.ndarray:
+        return self.values[..., : self.p]
+
+    @property
+    def z_values(self) -> np.ndarray:
+        return self.values[..., self.p :].reshape(self.values.shape[:-1] + (self.p, -1))
 
 
 def grid_points(spec: GridSpec, window: ActiveWindow) -> np.ndarray:
@@ -304,9 +317,8 @@ def interpolate(field, spec: GridSpec, x, r: int, window: ActiveWindow | None = 
     """
     point = np.asarray(x, dtype=float).reshape(1, spec.q)
     if isinstance(field, ValueField):
-        y = interpolate_values(field.y_values, field.window, spec, point, r)[0]
-        z = interpolate_values(field.z_values, field.window, spec, point, r)[0]
-        return y, z
+        yz = interpolate_values(field.values, field.window, spec, point, r)[0]
+        return yz[: field.p], yz[field.p :].reshape(field.p, -1)
     if window is None:
         raise ValueError("interpolating a bare array requires the window argument")
     return interpolate_values(np.asarray(field, dtype=float), window, spec, point, r)[0]

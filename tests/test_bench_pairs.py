@@ -1,4 +1,5 @@
-"""The summariser of scripts/bench_pairs.py, on canned benchmark output."""
+"""The summariser of scripts/bench_pairs.py and the comparison of
+scripts/same_results.py, on canned benchmark output and digests."""
 
 import importlib.util
 import json
@@ -10,6 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+_spec = importlib.util.spec_from_file_location("same_results", ROOT / "scripts" / "same_results.py")
+same_results = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_results)
 
 BETTER = {"wall_s": "lower", "err_y_geomean": "lower", "cells_ok": "higher"}
 
@@ -88,3 +92,50 @@ def test_parse_pytest_summary():
     assert counts == {"passed": 1} and seconds == 36.1
     with pytest.raises(ValueError, match="summary"):
         bench_pairs.parse_pytest_summary("ERROR: file or directory not found: x\n")
+
+
+def test_same_results_names_cells_that_differ_or_fail_on_one_side():
+    a, b = "a" * 64, "b" * 64
+    digests = {
+        "base": {"same": a, "moved": a, "base_fails": "error: ValueError: x",
+                 "head_fails": a, "both_fail": "error: RuntimeError: y", "head_only": a},
+        "head": {"same": a, "moved": b, "base_fails": a,
+                 "head_fails": "error: PicardDivergenceError: z",
+                 "both_fail": "error: RuntimeError: y", "base_only": a},
+    }
+    labels = ["same", "moved", "base_fails", "head_fails", "both_fail", "head_only", "base_only"]
+    assert same_results.compare(digests, labels) == [
+        ("moved", "digests differ"),
+        ("base_fails", "fails on base only"),
+        ("head_fails", "fails on head only"),
+        ("head_only", "fails on head only"),  # a cell a side did not report failed there
+        ("base_only", "fails on base only"),
+    ]
+    assert same_results.compare(digests, ["same", "both_fail"]) == []
+
+
+def test_same_results_cells_and_digest():
+    workloads = {
+        "w1": {"specs": [{"problem": "ex51", "k": 2, "Ns": [8, 16], "terminal_mode": "exact"}]},
+        "w2": {"specs": [{"problem": "ex51", "k": 2, "Ns": [16], "terminal_mode": "exact"},
+                         {"problem": "ex51", "k": 2, "Ns": [16], "terminal_mode": "bootstrap"}]},
+    }
+    cells = same_results.workload_cells(workloads)
+    assert [c["label"] for c in cells] == [
+        "ex51/k2/N8/exact", "ex51/k2/N16/exact", "ex51/k2/N16/bootstrap"
+    ]
+    assert cells[2] == {"label": "ex51/k2/N16/bootstrap", "problem": "ex51", "k": 2, "N": 16,
+                        "terminal_mode": "bootstrap"}
+
+    class Stats:
+        max_iterations, mean_iterations = 7, 6.5
+
+    class Result:
+        y0, z0, err_y, err_z, picard_stats = [1.0], [[2.0]], [0.1], None, Stats()
+
+    digest = same_results.result_digest(Result())
+    assert len(digest) == 64 and digest == same_results.result_digest(Result())
+    Result.z0 = [2.0]  # same bytes, other shape
+    assert same_results.result_digest(Result()) != digest
+    Result.z0, Stats.mean_iterations = [[2.0]], 6.25
+    assert same_results.result_digest(Result()) != digest

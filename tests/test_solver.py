@@ -148,6 +148,67 @@ def test_exact_seeding_levels_match_closed_form():
     )
 
 
+_SIG_2D = np.diag([0.3, 0.2])
+
+
+def _exp_y1(t, X):
+    return np.exp(X[:, 0] + X[:, 1] + 0.5 * (0.09 + 0.04) * (1.0 - t))
+
+
+def heat_system_2d():
+    """q = p = d = 2, b = 0, sigma = diag(0.3, 0.2), f = 0, in closed form.
+
+    Y1 = exp(x1 + x2 + (0.09 + 0.04)(T - t)/2) with Z1 = Y1 (0.3, 0.2), and
+    Y2 = x1 x2 with Z2 = (0.3 x2, 0.2 x1), which the scheme reproduces
+    exactly; distinct entries of Z check its (p, d) order through packing.
+    """
+    def exact_z(t, X):
+        z1 = _exp_y1(t, X)[:, None] * _SIG_2D.diagonal()
+        return np.stack([z1, np.stack([0.3 * X[:, 1], 0.2 * X[:, 0]], 1)], 1)
+
+    def grad_phi(X):
+        e = _exp_y1(1.0, X)
+        return np.stack([np.stack([e, e], 1), np.stack([X[:, 1], X[:, 0]], 1)], 1)
+
+    return FbsdeProblem(
+        name="heat_system_2d", q=2, p=2, d=2,
+        b=lambda t, X, Y, Z: np.zeros_like(X),
+        sigma=lambda t, X, Y, Z: np.broadcast_to(_SIG_2D, (X.shape[0], 2, 2)).copy(),
+        f=lambda t, X, Y, Z: np.zeros((X.shape[0], 2)),
+        phi=lambda X: np.stack([_exp_y1(1.0, X), X[:, 0] * X[:, 1]], 1),
+        grad_phi=grad_phi,
+        exact_y=lambda t, X: np.stack([_exp_y1(t, X), X[:, 0] * X[:, 1]], 1),
+        exact_z=exact_z,
+        T=1.0, x0=[0.4, -0.2], coupled=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, err_y1, err_z1", [("exact", 1.80e-6, 2.00e-5), ("bootstrap", 2.04e-6, 2.01e-5)]
+)
+def test_system_with_d_2_keeps_the_z_layout(mode, err_y1, err_z1):
+    # Component 2 is a polynomial the scheme reproduces, so any mix-up of
+    # Z's (p, d) entries between packing and unpacking shows as an error
+    # there; component 1 keeps its discretization error.
+    result = solve(heat_system_2d(), SolverConfig(k=2, N=8, terminal_mode=mode))
+    assert result.z0.shape == (2, 2)
+    assert result.err_y[1] < 1e-12 and np.all(result.err_z[1] < 1e-12)
+    assert result.err_y[0] < 3 * err_y1 and np.max(result.err_z[0]) < 3 * err_z1
+
+
+def test_stored_levels_are_read_only_rows():
+    # the terminal level, the bootstrap seeds and every sub-level the step
+    # returns are frozen [y | z] rows: a warm start that views one cannot
+    # write into it
+    config = SolverConfig(k=2, N=8, terminal_mode="bootstrap")
+    disc = discretize(EX51, config)
+    fields, chain = init_terminal(EX51, config, disc)
+    field = chain.step(0, 0.5, 0.1, {1: fields[config.N]})
+    for f in [*fields.values(), field]:
+        assert f.values.shape == disc.window.extents + (2,)
+        assert not f.values.flags.writeable
+
+
 def test_result_reports_its_discretization():
     config = SolverConfig(k=2, N=16)
     disc = solve(EX51, config).discretization
@@ -470,7 +531,7 @@ def test_fan_past_the_hull_fails_loudly(monkeypatch):
 
 def test_one_gather_per_level_and_step(monkeypatch):
     # Each (level, j) is one expectation reading the history field in one
-    # interpolation call; two more read (y0, z0) at x0.
+    # interpolation call; one more reads the packed (y0, z0) row at x0.
     calls = {"expect": 0, "interp": 0}
     expect, interp = solver.expect_gaussian, solver.interpolate_values
 
@@ -486,7 +547,7 @@ def test_one_gather_per_level_and_step(monkeypatch):
     monkeypatch.setattr(solver, "interpolate_values", counted_interp)
     config = SolverConfig(k=2, N=16)
     solve(EX51, config)
-    assert calls == {"expect": (config.N - config.k) * config.k, "interp": 30}
+    assert calls == {"expect": (config.N - config.k) * config.k, "interp": 29}
 
 
 def test_max_outer_bounds_sweep_and_bootstrap_levels():

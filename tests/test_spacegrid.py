@@ -189,7 +189,7 @@ def test_interpolate_value_field_and_bare_array():
     pts = grid_points(spec, window)
     y = (pts[:, 0] ** 2).reshape(window.extents + (1,))
     z = (2 * pts[:, 0]).reshape(window.extents + (1, 1))
-    field = ValueField(window=window, y_values=y, z_values=z, level=3)
+    field = ValueField(window=window, values=np.concatenate([y, z[..., 0]], -1), p=1, level=3)
     yq, zq = interpolate(field, spec, [1.3], r=2)
     assert yq[0] == pytest.approx(1.69, abs=1e-12)
     assert zq[0, 0] == pytest.approx(2.6, abs=1e-12)
@@ -222,19 +222,51 @@ def test_query_blocks_match_one_point_calls(q, r, trailing):
 def test_value_field_rejects_mismatched_extents():
     window = ActiveWindow(lo=[0], hi=[4])
     with pytest.raises(ValueError):
-        ValueField(
-            window=window,
-            y_values=np.zeros((3, 1)),
-            z_values=np.zeros((5, 1, 1)),
-            level=0,
-        )
+        ValueField(window=window, values=np.zeros((3, 2)), p=1, level=0)
 
 
 def test_value_field_rejects_non_finite():
     window = ActiveWindow(lo=[0], hi=[2])
     y = np.array([[0.0], [np.nan], [1.0]])
     with pytest.raises(ValueError):
-        ValueField(window=window, y_values=y, z_values=np.zeros((3, 1, 1)), level=1)
+        ValueField(window=window, values=np.concatenate([y, np.zeros((3, 1))], -1), p=1, level=1)
+
+
+def _field_p2_d2(window):
+    # row [y1 y2 | z11 z12 z21 z22] per point, z row-major
+    values = np.arange(np.prod(window.extents) * 6, dtype=float).reshape(window.extents + (6,))
+    return ValueField(window=window, values=values, p=2, level=4)
+
+
+def test_value_field_is_read_only_with_views_into_its_rows():
+    window = ActiveWindow(lo=[0, -1], hi=[2, 1])
+    field = _field_p2_d2(window)
+    assert field.y_values.shape == (3, 3, 2) and field.z_values.shape == (3, 3, 2, 2)
+    assert np.shares_memory(field.y_values, field.values)
+    assert np.shares_memory(field.z_values, field.values)
+    np.testing.assert_array_equal(field.y_values[1, 2], field.values[1, 2, :2])
+    np.testing.assert_array_equal(field.z_values[1, 2], field.values[1, 2, 2:].reshape(2, 2))
+    with pytest.raises(ValueError):
+        field.values[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        field.y_values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        field.z_values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("width, p", [(1, 1), (3, 2), (5, 2), (2, 0)])
+def test_value_field_rejects_a_last_axis_not_p_plus_p_d(width, p):
+    # the last axis must be p + p*d with p >= 1 and d >= 1
+    with pytest.raises(ValueError):
+        ValueField(window=ActiveWindow(lo=[0], hi=[2]), values=np.zeros((3, width)), p=p, level=0)
+
+
+def test_value_field_rejects_leading_extents_off_the_window():
+    window = ActiveWindow(lo=[0, 0], hi=[2, 3])
+    _field_p2_d2(window)
+    for shape in [(4, 3, 6), (3, 4), (3, 4, 1, 6), (12, 6)]:
+        with pytest.raises(ValueError):
+            ValueField(window=window, values=np.zeros(shape), p=2, level=0)
 
 
 def test_window_validation():
