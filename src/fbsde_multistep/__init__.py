@@ -7,6 +7,7 @@ through local Lagrange interpolation.  See README.md for the layout.
 """
 
 from .bench import ConvergenceReport, RunSpec, fit_rate, run
+from .failures import SolverFailure
 from .multistep import (
     MultistepCoeffs,
     StabilityReport,
@@ -68,6 +69,7 @@ __all__ = [
     "RunSpec",
     "SolveResult",
     "SolverConfig",
+    "SolverFailure",
     "StabilityReport",
     "UnknownProblemError",
     "ValueField",

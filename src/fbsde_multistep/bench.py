@@ -1,13 +1,16 @@
 """Convergence-study harness and command-line interface.
 
 Runs the solver over a (k, N) grid for one benchmark problem, fits
-convergence rates, and writes a machine-readable table.  Cells that diverge
-are recorded as DIVERGED without aborting the remaining cells.
+convergence rates, and writes a machine-readable table.  Cells whose solve
+fails (any ``SolverFailure``: a diverged iteration, a non-finite value, a read
+off the grid) are recorded as DIVERGED, with the reason logged, without
+aborting the remaining cells.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 import tempfile
@@ -18,8 +21,11 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .failures import SolverFailure
 from .problems import UnknownProblemError, registry_get, registry_names
-from .solver import ConfigError, PicardDivergenceError, SolverConfig, solve
+from .solver import ConfigError, SolverConfig, solve
+
+logger = logging.getLogger(__name__)
 
 CSV_HEADER = "problem,k,N,component,err_y,err_z,runtime_s,picard_max"
 
@@ -135,7 +141,8 @@ def _run_cell(problem_name: str, k: int, N: int, spec: RunSpec) -> CellResult:
     started = time.perf_counter()
     try:
         result = solve(problem, config)
-    except PicardDivergenceError:
+    except SolverFailure as exc:
+        logger.warning("%s k=%d N=%d diverged: %s", problem_name, k, N, exc)
         result = None
         runtime, picard_max = time.perf_counter() - started, config.max_picard
     else:

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .failures import SolverFailure
+
 MAX_POINTS = 64
 
 
-class NonFiniteIntegrandError(ValueError):
+class NonFiniteIntegrandError(SolverFailure, ValueError):
     """The integrand returned a non-finite value at a quadrature node."""
 
 
@@ -36,12 +38,18 @@ def hermite_rule(L: int) -> GaussHermiteRule:
     """L-point Gauss-Hermite rule, exact for polynomials of degree <= 2L-1.
 
     Backed by numpy's hermgauss (symmetric tridiagonal eigenproblem plus a
-    Newton polish); nodes and weights are accurate to well below 1e-12.
+    Newton polish); nodes and weights are accurate to well below 1e-12.  A
+    rule is determined by L, so each is computed once and shared read-only.
     """
     if not isinstance(L, int) or isinstance(L, bool):
         raise ValueError(f"point count L must be an int, got {L!r}")
     if not 1 <= L <= MAX_POINTS:
         raise ValueError(f"point count L must be in [1, {MAX_POINTS}], got {L}")
+    return _rule(L)
+
+
+@functools.cache
+def _rule(L: int) -> GaussHermiteRule:
     nodes, weights = np.polynomial.hermite.hermgauss(L)
     nodes.flags.writeable = False
     weights.flags.writeable = False

@@ -26,10 +26,11 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .failures import SolverFailure
 from .multistep import MAX_STEPS, compute_coeffs, stability_report
 from .problems import FbsdeProblem
 from .quadrature import MAX_POINTS, GaussHermiteRule, expect_gaussian, hermite_rule
@@ -54,6 +55,10 @@ OUTER_TOL_FRACTION = 1e-2
 BOUND_INFLATION = 1.5
 EXTRA_MARGIN_CELLS = 5
 BOOTSTRAP_MAX_SUBSTEPS = 4096
+# Degrees weighed for a smooth 1-d problem; the least one whose predicted fan
+# work is within WORK_MARGIN times the cheapest candidate's is chosen.
+DEGREE_CANDIDATES = (6, 8, 10, 12, 14)
+WORK_MARGIN = 1.25
 # Stencil entries a level workspace may keep in stored interpolation plans,
 # all fans together (each entry is one int64 index and one float64 weight).
 MAX_PLAN_ENTRIES = 1 << 18
@@ -69,7 +74,7 @@ class ConfigError(ValueError):
     """Invalid solver configuration."""
 
 
-class PicardDivergenceError(RuntimeError):
+class PicardDivergenceError(SolverFailure, RuntimeError):
     """A Picard iteration failed to reach tolerance within its cap."""
 
     def __init__(self, message, level=None, point=None):
@@ -143,6 +148,10 @@ class Discretization:
     the Gauss-Hermite rule after any node raise (``rule.L`` is the count
     actually used), ``window`` is the static window every level shares, ``X``
     its grid points, ``lo``/``hi`` its hull and ``p`` the y width of a row.
+    ``fan_work`` is the predicted stencil entries of one (level, j)
+    expectation over the window, n * L^d * (r+1)^q, and ``degree_work`` the
+    (r, fan_work) pairs of every degree the policy weighed, the chosen one
+    among them.
     """
 
     h: float
@@ -154,6 +163,8 @@ class Discretization:
     lo: np.ndarray
     hi: np.ndarray
     p: int
+    fan_work: int
+    degree_work: tuple[tuple[int, int], ...]
 
     def field(self, level, rows) -> ValueField:
         """Freeze per-point rows [y | z] (the step's image, as it is) as one level's field."""
@@ -172,6 +183,7 @@ class SolveResult:
 
 
 def _default_degree(k: int) -> int:
+    """The degree bracket of problems the work-based choice does not cover."""
     if k <= 3:
         return 6
     if k <= 6:
@@ -247,6 +259,17 @@ STABLE_CELLS_PER_NODE = 0.85
 TARGET_CELLS_PER_NODE = 0.55
 
 
+class _Degree(NamedTuple):
+    """One degree as :func:`discretize` weighs it."""
+
+    work: int  # predicted stencil entries of one (level, j) fan, n * L^d * (r+1)^q
+    r: int
+    h: float
+    L: int  # node count after the fan rule's raise
+    fan: float  # fan width in cells at that count
+    cells: np.ndarray  # window half-width in cells, per axis
+
+
 def _fan_reach(b_bound, s_bound, k, dt, max_node):
     """Per-axis reach of the k-step quadrature fan, B_b*k*dt + B_s*sqrt(2k dt)*max_node."""
     return b_bound * (k * dt) + s_bound * (math.sqrt(2.0 * k * dt) * max_node)
@@ -255,12 +278,22 @@ def _fan_reach(b_bound, s_bound, k, dt, max_node):
 def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
     """Resolve the grid spacing, degree, node rule and static window of a solve.
 
-    * Spacing and degree: the balancing policy equates the space and time
-      error contributions, h^(r+1) = dt^(k+1); low-order schemes get a modest
-      degree, higher-order ones a larger degree so h does not collapse.  The
-      automatic spacing is expressed in units of the problem's characteristic
-      length (grid_scale), which matters for problems like log-price models
-      whose features live on a sub-unit scale.
+    * Spacing: the balancing policy equates the space and time error
+      contributions, h^(r+1) = dt^(k+1), in units of the problem's
+      characteristic length (grid_scale), which matters for problems like
+      log-price models whose features live on a sub-unit scale.
+    * Degree: a smooth-terminal problem with q = 1 and k <= 6 weighs every
+      degree of DEGREE_CANDIDATES.  Each gets its balancing h, its node
+      count and its window, and among the degrees whose fan the node count
+      resolves, the least one whose predicted fan work (below) is within
+      WORK_MARGIN of the cheapest wins: a larger r buys a coarser h, whose
+      fan spans fewer cells and needs fewer nodes, for (r+1)^q stencil
+      entries per query (Berrut & Trefethen, SIAM Review 2004, on trading h
+      for r).  Where no degree's fan fits under the node cap, the narrowest
+      fan wins.  A kinked terminal function, which a higher degree resolves
+      worse, q >= 2, where (r+1)^q stencils make a higher degree cost more,
+      and a caller-given h keep the brackets of :func:`_default_degree`; a
+      caller-given r is used as it is.
     * Coefficient bounds: per-axis sup bounds of |b| and of the L1 row norm
       of sigma, from one probe pass over a box sized from values at x0 (no
       re-probing: for multiplicative noise a fixed-point box estimate would
@@ -282,6 +315,9 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
       inward and freeze edge artifacts progressively closer to the
       evaluation point, whereas a static edge stays a fixed many envelope
       standard deviations away.
+    * Predicted work: ``fan_work`` = n * L^d * (r+1)^q, the stencil entries
+      of one (level, j) expectation over all n window points; ``degree_work``
+      lists it for every degree weighed.
 
     The balancing rule assumes a smooth solution.  A kink in phi
     (``problem.smooth_terminal`` False) is smoothed by the forward diffusion
@@ -292,11 +328,6 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
     """
     T, k = problem.T, config.k
     dt = T / config.N
-    r = config.r if config.r is not None else _default_degree(k)
-    h = config.h
-    if h is None:
-        h = problem.grid_scale * dt ** ((k + 1) / (r + 1))
-    spec = GridSpec(q=problem.q, h=h, origin=problem.x0)
 
     def envelope(b_bound, s_bound, a_max):
         return b_bound * T + ENVELOPE_FACTOR * s_bound * math.sqrt(2.0 * T) * a_max
@@ -323,18 +354,46 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
     X = np.stack([m.ravel() for m in mesh], axis=-1)
     Y, Z = _terminal_yz_probe(problem, X, config.eps0, config.max_picard)
     b_raw, s_raw = row_bounds(X, Y, Z)
+    b_bound, s_bound = BOUND_INFLATION * b_raw, BOUND_INFLATION * s_raw
+    tail = envelope(b_bound, s_bound, a_max)
 
-    def fan_cells(L):
-        node = hermite_rule(L).max_abs_node
-        return float(np.max(s_raw * math.sqrt(2.0 * k * dt) * node / spec.h))
+    def resolve(r):
+        """Spacing, node count, fan width, window and fan work at degree r."""
+        h = config.h
+        if h is None:
+            h = problem.grid_scale * dt ** ((k + 1) / (r + 1))
 
-    L = config.L
-    fan = fan_cells(L)
-    for _ in range(4):
-        if fan <= STABLE_CELLS_PER_NODE * L:
-            break
-        L = min(MAX_POINTS, max(L + 1, math.ceil(fan / TARGET_CELLS_PER_NODE)))
+        def fan_cells(L):
+            node = hermite_rule(L).max_abs_node
+            return float(np.max(s_raw * math.sqrt(2.0 * k * dt) * node / h))
+
+        L = config.L
         fan = fan_cells(L)
+        for _ in range(4):
+            if fan <= STABLE_CELLS_PER_NODE * L:
+                break
+            L = min(MAX_POINTS, max(L + 1, math.ceil(fan / TARGET_CELLS_PER_NODE)))
+            fan = fan_cells(L)
+        reach = _fan_reach(b_bound, s_bound, k, dt, hermite_rule(L).max_abs_node)
+        cells = np.ceil(np.maximum(tail, reach) / h).astype(np.int64) + r + EXTRA_MARGIN_CELLS
+        work = int(np.prod(2 * cells + 1)) * L**problem.d * (r + 1) ** problem.q
+        return _Degree(work, r, h, L, fan, cells)
+
+    if config.r is not None:
+        degrees = (config.r,)
+    elif config.h is None and problem.q == 1 and problem.smooth_terminal and k <= 6:
+        degrees = DEGREE_CANDIDATES
+    else:
+        degrees = (_default_degree(k),)
+    scan = [resolve(r) for r in degrees]
+    stable = [row for row in scan if row.fan <= STABLE_CELLS_PER_NODE * row.L]
+    if stable:
+        cheapest = min(row.work for row in stable)
+        chosen = next(row for row in stable if row.work <= WORK_MARGIN * cheapest)
+    else:  # every fan outgrows the node cap: the narrowest one amplifies least
+        chosen = min(scan, key=lambda row: row.fan)
+    work, r, h, L, fan, cells = chosen
+
     if fan > STABLE_CELLS_PER_NODE * L:
         logger.warning(
             "%d Gauss-Hermite nodes leave the quadrature fan %.1f cells wide, "
@@ -349,23 +408,20 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
             "the space error may not follow the time order",
             problem.name, np.array2string(length, precision=4), h,
         )
-    rule = hermite_rule(L)
-
-    b_bound, s_bound = BOUND_INFLATION * b_raw, BOUND_INFLATION * s_raw
-    reach = _fan_reach(b_bound, s_bound, k, dt, rule.max_abs_node)
-    half = np.maximum(envelope(b_bound, s_bound, a_max), reach)
-    cells = np.ceil(half / spec.h).astype(np.int64) + r + EXTRA_MARGIN_CELLS
+    spec = GridSpec(q=problem.q, h=h, origin=problem.x0)
     window = ActiveWindow(lo=-cells, hi=cells)
     return Discretization(
         h=h,
         r=r,
         spec=spec,
-        rule=rule,
+        rule=hermite_rule(L),
         window=window,
         X=grid_points(spec, window),
         lo=spec.origin + spec.h * window.lo,
         hi=spec.origin + spec.h * window.hi,
         p=problem.p,
+        fan_work=work,
+        degree_work=tuple((row.r, row.work) for row in scan),
     )
 
 
@@ -810,10 +866,12 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
     ws = _LevelWorkspace(
         problem, disc, coeffs, config, band_exact=config.terminal_mode == "exact"
     )
-    # The step reads k levels and its predictor up to three.
+    # The step reads k levels and its predictor up to three.  The scheme
+    # never reads level N; a kinked phi stays out of the predictor too.
     kept = max(k, len(PREDICTOR_WEIGHTS))
+    top = N if problem.smooth_terminal else N - 1
     for n in range(N - k - 1, -1, -1):
-        history = {j: fields[n + j] for j in range(1, min(kept, N - n) + 1)}
+        history = {j: fields[n + j] for j in range(1, min(kept, top - n) + 1)}
         fields[n] = ws.step(n, n * dt, dt, history)
         fields.pop(n + kept, None)
     _warn_unconverged(config, ws, chain)

@@ -15,12 +15,14 @@ from math import factorial
 
 import numpy as np
 
+from .failures import SolverFailure
+
 
 # Stencil entries (queries times (r+1)^q) per query block of interpolate_values.
 _BLOCK_ENTRIES = 1 << 14
 
 
-class OutOfDomainError(ValueError):
+class OutOfDomainError(SolverFailure, ValueError):
     """A query point lies outside the active window's inflated hull."""
 
 

@@ -11,7 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbsde_multistep import ConfigError, RunSpec, SolverConfig, fit_rate, run
+from fbsde_multistep import (
+    ConfigError,
+    NonFiniteIntegrandError,
+    OutOfDomainError,
+    PicardDivergenceError,
+    RunSpec,
+    SolverConfig,
+    SolverFailure,
+    fit_rate,
+    run,
+)
 from fbsde_multistep.bench import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -135,6 +145,60 @@ def test_diverged_cell_marks_and_continues(tmp_path, monkeypatch):
     assert "DIVERGED" in flat
     clean = [cell for cell in report.cells if not cell.diverged]
     assert len(clean) == 2
+
+
+@pytest.mark.parametrize("failure", [
+    PicardDivergenceError("implicit Y iteration stuck at level 3, point [0.5]"),
+    NonFiniteIntegrandError("integrand returned a non-finite value at node [0.5]"),
+    OutOfDomainError("query point outside the window"),
+])
+def test_solver_failure_marks_its_cell_and_keeps_the_other_rows(tmp_path, monkeypatch,
+                                                                caplog, failure):
+    from fbsde_multistep import bench
+
+    def csv_rows(path):  # every row but the runtime column
+        return [row[:6] + row[7:] for row in csv.reader(path.open())]
+
+    spec = dict(problem="ex51", ks=(1,), Ns=(8, 12, 16, 24))
+    clean = tmp_path / "clean.csv"
+    bench.run(RunSpec(out=str(clean), **spec))
+    solve = bench.solve
+
+    def failing_solve(problem, config):
+        if config.N == 12:
+            raise failure
+        return solve(problem, config)
+
+    monkeypatch.setattr(bench, "solve", failing_solve)
+    out = tmp_path / "table.csv"
+    with caplog.at_level("WARNING", logger="fbsde_multistep.bench"):
+        report = bench.run(RunSpec(out=str(out), **spec))
+    assert [cell.diverged for cell in report.cells] == [False, True, False, False]
+    assert [rec.getMessage() for rec in caplog.records] == [f"ex51 k=1 N=12 diverged: {failure}"]
+    rows, expected = csv_rows(out), csv_rows(clean)
+    assert rows[2][4:6] == ["DIVERGED", "DIVERGED"]
+    # the other cells' rows are those of a clean run; the rate is refitted on them
+    assert [rows[i] for i in (0, 1, 3, 4)] == [expected[i] for i in (0, 1, 3, 4)]
+    assert rows[5][:4] == ["ex51", "1", "CR", "1"]
+
+
+def test_solver_failures_share_one_base_and_keep_their_own():
+    assert issubclass(PicardDivergenceError, SolverFailure)
+    assert issubclass(PicardDivergenceError, RuntimeError)
+    for error in (NonFiniteIntegrandError, OutOfDomainError):
+        assert issubclass(error, SolverFailure) and issubclass(error, ValueError)
+    assert not issubclass(ConfigError, SolverFailure)
+
+@pytest.mark.parametrize("error", [ConfigError("bad config"), RuntimeError("window sizing bug")])
+def test_errors_other_than_solver_failures_propagate(monkeypatch, error):
+    from fbsde_multistep import bench
+
+    def failing_solve(problem, config):
+        raise error
+
+    monkeypatch.setattr(bench, "solve", failing_solve)
+    with pytest.raises(type(error)):
+        bench.run(RunSpec(problem="ex51", ks=(1,), Ns=(8, 12, 16)))
 
 
 def test_markdown_format(tmp_path):

@@ -16,6 +16,7 @@ from fbsde_multistep import (
     PicardDivergenceError,
     SolverConfig,
     discretize,
+    fit_rate,
     grid_points,
     init_terminal,
     registry_get,
@@ -57,10 +58,12 @@ def test_resolve_discretization_passthrough():
 
 
 def test_resolve_discretization_auto_degree_brackets():
+    # ex51 is smooth and 1-d, so k <= 6 takes the degree of least predicted
+    # fan work; k = 8 is outside the scan and keeps its bracket
     assert discretize(EX51, SolverConfig(k=1, N=16)).r == 6
-    assert discretize(EX51, SolverConfig(k=3, N=16)).r == 6
-    assert discretize(EX51, SolverConfig(k=4, N=16)).r == 10
-    assert discretize(EX51, SolverConfig(k=6, N=16)).r == 10
+    assert discretize(EX51, SolverConfig(k=3, N=16)).r == 8
+    assert discretize(EX51, SolverConfig(k=4, N=16)).r == 12
+    assert discretize(EX51, SolverConfig(k=6, N=16)).r == 14
     assert discretize(EX51, SolverConfig(k=8, N=16)).r == 15
 
 
@@ -440,9 +443,9 @@ def test_decoupled_level_is_one_pass():
 
 
 def test_window_is_sized_from_the_diffusion_tail():
-    # k=3, N=64 raises the rule well above L=8; the window follows the
-    # configured rule's tail, not the raised rule's extreme node
-    disc = discretize(EX51, SolverConfig(k=3, N=64))
+    # k=3, N=64 at r=6 raises the rule well above L=8; the window follows
+    # the configured rule's tail, not the raised rule's extreme node
+    disc = discretize(EX51, SolverConfig(k=3, N=64, r=6))
     assert disc.rule.L > SolverConfig(k=3, N=64).L
     assert disc.X.shape[0] == 215
 
@@ -640,7 +643,7 @@ def test_outer_iterates_accepted_unconverged_warn_once(caplog):
 
 
 def test_bootstrap_sub_levels_accepted_unconverged_warn(caplog):
-    config = SolverConfig(k=1, N=8, terminal_mode="bootstrap", max_outer=4)
+    config = SolverConfig(k=1, N=8, r=6, terminal_mode="bootstrap", max_outer=4)
     warned = _unconverged_warnings(caplog, registry_get("ex54b"), config)
     assert len(warned) == 1
     assert "3 of 3 bootstrap sub-levels" in warned[0]
@@ -800,13 +803,92 @@ def _node_count(caplog, problem, config):
 
 
 def test_node_count_cap_warns_when_fan_stays_wide(caplog):
-    # k=6, N=64: the fan needs more than the 64-node cap (64.2 cells > 0.85 * 64)
-    L, warned = _node_count(caplog, EX51, SolverConfig(k=6, N=64))
+    # k=6, N=64, r=10: the fan needs more than the 64-node cap (64.2 cells > 0.85 * 64)
+    L, warned = _node_count(caplog, EX51, SolverConfig(k=6, N=64, r=10))
     assert L == 64
     assert len(warned) == 1
     L, warned = _node_count(caplog, EX51, SolverConfig(k=3, N=64))
     assert L < 64
     assert warned == []
+
+
+@pytest.mark.parametrize("name, reads_level_n", [("ex51", True), ("ex52_bs", False)])
+def test_kinked_terminal_level_stays_out_of_the_warm_start(monkeypatch, name, reads_level_n):
+    # the scheme reads levels n+1 .. n+k <= N-1; only the predictor of the
+    # first sweep levels could reach level N, and a kinked phi is kept from it
+    read = []
+    step = solver._LevelWorkspace.step
+
+    def recorded_step(self, level, t_n, dt, history):
+        read.extend(field.level for field in history.values())
+        return step(self, level, t_n, dt, history)
+
+    monkeypatch.setattr(solver._LevelWorkspace, "step", recorded_step)
+    config = SolverConfig(k=1, N=8)
+    solve(registry_get(name), config)
+    assert (config.N in read) is reads_level_n
+    assert max(read) >= config.N - 1
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("name", ["ex51", "ex55"])
+def test_auto_spacing_decreases_along_each_ladder(name, k):
+    # the work-based degree may change between rungs, but never so that h grows
+    problem = registry_get(name)
+    hs = [discretize(problem, SolverConfig(k=k, N=N)).h for N in (16, 32, 64, 128)]
+    assert all(coarse > fine for coarse, fine in zip(hs, hs[1:])), hs
+
+
+def test_work_based_degree_keeps_k6_below_the_node_cap(caplog):
+    L, warned = _node_count(caplog, EX51, SolverConfig(k=6, N=64))
+    assert L < solver.MAX_POINTS
+    assert warned == []
+
+
+def test_degree_choice_is_recorded():
+    disc = discretize(EX51, SolverConfig(k=3, N=64))
+    work = dict(disc.degree_work)
+    assert tuple(work) == solver.DEGREE_CANDIDATES
+    assert disc.fan_work == work[disc.r] == disc.X.shape[0] * disc.rule.L * (disc.r + 1)
+    # the least degree within the margin of the cheapest one
+    within = [r for r, w in disc.degree_work if w <= solver.WORK_MARGIN * min(work.values())]
+    assert disc.r == within[0] == 8
+    # a kinked terminal function, q = 2 and a given h keep the brackets;
+    # a given r is used as it is
+    for problem, config in [
+        (registry_get("ex52_bs"), SolverConfig(k=3, N=64)),
+        (registry_get("ex53_2d"), SolverConfig(k=3, N=16)),
+        (EX51, SolverConfig(k=3, N=64, h=0.2)),
+    ]:
+        disc = discretize(problem, config)
+        assert [r for r, _ in disc.degree_work] == [disc.r] == [6]
+    assert discretize(EX51, SolverConfig(k=3, N=64, r=10)).degree_work[0][0] == 10
+
+
+def test_degree_choice_skips_fans_the_node_cap_cannot_resolve(caplog):
+    ex54b = registry_get("ex54b")
+    # k=3, N=8: r=6 has the least predicted work only because its node count
+    # is capped at 64, below its fan; the least resolved degree is chosen
+    L, warned = _node_count(caplog, ex54b, SolverConfig(k=3, N=8))
+    assert (discretize(ex54b, SolverConfig(k=3, N=8)).r, warned) == (12, [])
+    assert L < solver.MAX_POINTS
+    # k=5, N=32: no degree's fan fits; the coarsest grid has the narrowest fan
+    L, warned = _node_count(caplog, ex54b, SolverConfig(k=5, N=32))
+    assert discretize(ex54b, SolverConfig(k=5, N=32)).r == max(solver.DEGREE_CANDIDATES)
+    assert L == solver.MAX_POINTS
+    assert len(warned) == 1
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_ex51_converges_at_order_k_for_k5_and_k6(k):
+    # N = 32, 48, 64: past the k = 5 ladder's degree change (r = 12 up to
+    # N = 20, 14 from N = 24) and short of the ~1e-14 level where the k = 6
+    # errors flatten (local Y-rates 4.5-4.6 over N = 64, 96, 128)
+    Ns = (32, 48, 64)
+    results = [solve(EX51, SolverConfig(k=k, N=N)) for N in Ns]
+    cr_y = fit_rate([(N, res.err_y[0]) for N, res in zip(Ns, results)])
+    cr_z = fit_rate([(N, np.max(res.err_z)) for N, res in zip(Ns, results)])
+    assert k - 0.35 <= cr_y <= k + 0.35
+    assert k - 0.35 <= cr_z <= k + 0.35
+    assert all(res.discretization.rule.L < solver.MAX_POINTS for res in results)
 
 
 EX52 = registry_get("ex52_bs")

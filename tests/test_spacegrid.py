@@ -143,7 +143,7 @@ def test_cubic_reproduces_cubic_polynomial():
     np.testing.assert_allclose(out, probes[:, 0] ** 3, atol=1e-10)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 6, 10])
+@pytest.mark.parametrize("r", [1, 2, 3, 6, 8, 10, 12, 14])
 def test_polynomial_reproduction_random_coeffs(r):
     rng = np.random.default_rng(100 + r)
     spec = spec1d(h=0.2, origin=0.3)
@@ -200,7 +200,7 @@ def test_interpolate_value_field_and_bare_array():
 
 
 @pytest.mark.parametrize("trailing", [(), (2, 3)])
-@pytest.mark.parametrize("r", [1, 6, 10])
+@pytest.mark.parametrize("r", [1, 6, 8, 10, 12, 14])
 @pytest.mark.parametrize("q", [1, 2])
 def test_query_blocks_match_one_point_calls(q, r, trailing):
     rng = np.random.default_rng(100 * q + r + len(trailing))
@@ -309,7 +309,7 @@ def _probe_coordinates(lo, hi, rng):
 
 
 @pytest.mark.parametrize("trailing", [(), (2,), (2, 1), (2, 3)])
-@pytest.mark.parametrize("r", [1, 3, 6, 10, 15])
+@pytest.mark.parametrize("r", [1, 3, 6, 8, 10, 12, 14, 15])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_kernel_matches_exact_lagrange_reference(q, r, trailing):
     rng = np.random.default_rng(1000 * q + 10 * r + len(trailing))
