@@ -9,8 +9,10 @@ temporary directory.  Each side then solves every cell of
 ``perfbench/workloads.json`` (the working tree's list, smoke cells included)
 once, in a subprocess with that side's ``src`` on PYTHONPATH.  Per cell the
 script prints a sha256 of y0, z0, err_y, err_z and picard_stats on each
-side, and it exits 1 naming each cell whose digest differs or that fails on
-one side only.
+side.  Under each cell whose digests differ it prints how far err_y and
+err_z moved (the relative change of their largest component) and both
+sides' picard_stats.  It exits 1 naming each cell whose digest differs or
+that fails on one side only.
 """
 
 from __future__ import annotations
@@ -54,22 +56,46 @@ def result_digest(result) -> str:
     return h.hexdigest()
 
 
+def result_record(result) -> dict:
+    """A result's digest, with the figures a cell that moved is described by."""
+    stats = result.picard_stats
+
+    def largest(a):
+        return None if a is None else float(np.max(a))
+
+    return {"digest": result_digest(result), "err_y": largest(result.err_y),
+            "err_z": largest(result.err_z),
+            "picard_stats": [stats.max_iterations, stats.mean_iterations]}
+
+
+def describe_change(base: dict, head: dict) -> str:
+    """How far a cell moved between two records of :func:`result_record`."""
+    parts = []
+    for name in ("err_y", "err_z"):
+        b, h = base[name], head[name]
+        parts.append(f"{name} " + ("n/a" if b is None or h is None or b == 0 else
+                                    f"{100 * (h / b - 1):+.3g}%"))
+    parts.append("picard_stats {} -> {}".format(*(
+        f"({rec['picard_stats'][0]}, {rec['picard_stats'][1]:.4g})" for rec in (base, head))))
+    return "  ".join(parts)
+
+
 def solve_cells() -> None:
-    """Subprocess entry: read cells as JSON on stdin, print {label: digest or error} JSON."""
+    """Subprocess entry: read cells as JSON on stdin, print {label: record or error} JSON."""
     from fbsde_multistep import SolverConfig, registry_get, solve
 
     out = {}
     for cell in json.load(sys.stdin):
         try:
             config = SolverConfig(k=cell["k"], N=cell["N"], terminal_mode=cell["terminal_mode"])
-            out[cell["label"]] = result_digest(solve(registry_get(cell["problem"]), config))
+            out[cell["label"]] = result_record(solve(registry_get(cell["problem"]), config))
         except Exception as exc:  # a failing cell is an outcome to compare
             out[cell["label"]] = f"error: {type(exc).__name__}: {exc}"
     print(json.dumps(out))
 
 
-def side_digests(tree: Path, cells: list[dict]) -> dict[str, str]:
-    """Each cell's digest (or "error: ...") when solved with ``tree``'s source."""
+def side_records(tree: Path, cells: list[dict]) -> dict:
+    """Each cell's record (or "error: ...") when solved with ``tree``'s source."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
             "import same_results; same_results.solve_cells()")
@@ -106,12 +132,16 @@ def main(argv=None) -> int:
     labels = [cell["label"] for cell in cells]
     with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
         commit = export_revision(args.base, Path(tmp))
-        digests = {"base": side_digests(Path(tmp), cells), "head": side_digests(ROOT, cells)}
+        records = {"base": side_records(Path(tmp), cells), "head": side_records(ROOT, cells)}
+    digests = {side: {label: rec["digest"] if isinstance(rec, dict) else rec
+                      for label, rec in records[side].items()} for side in SIDES}
     bad = dict(compare(digests, labels))
     for label in labels:
         base, head = (digests[side].get(label, "error: not reported") for side in SIDES)
         status = bad.get(label) or ("fails on both" if head.startswith("error:") else "equal")
         print(f"{label:<28} {status:<16} head {head}" + ("" if base == head else f"  base {base}"))
+        if status == "digests differ":
+            print(" " * 4 + describe_change(records["base"][label], records["head"][label]))
     print(f"base {args.base} ({commit[:12]}) against the working tree: "
           f"{len(labels) - len(bad)} of {len(labels)} cells alike")
     if bad:

@@ -81,26 +81,30 @@ def expect_gaussian(g, d: int, rule: GaussHermiteRule):
 
     ``g`` is called once with all M = L^d tensor nodes, scaled by sqrt(2), as
     one read-only (d, M) array: row i holds coordinate i of every node, the
-    last coordinate varying fastest.  It returns an array of any leading
-    shape whose last axis (length M) runs over the nodes.  The weighted values are
-    summed in node order, one vector add per node, and the pi^(-d/2)
-    normalization is applied at the end.
+    last coordinate varying fastest.  It returns node-major values, an array
+    whose first axis (length M) runs over the nodes, of any trailing shape.
+    The weighted values are summed in node order, w_0 g_0 + w_1 g_1 + ...,
+    and the pi^(-d/2) normalization is applied at the end.  The sum is one
+    reduction over the node axis of the C-ordered (M, rest) values, which
+    adds the nodes one after another; a single value per node, which numpy
+    would sum pairwise, is summed by a running (cumulative) sum instead.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     nodes, weights = _tensor_rule(rule.L, d)
     M = weights.size
     values = np.asarray(g(nodes), dtype=float)
-    if values.shape[-1:] != (M,):
-        raise ValueError(f"integrand must return a last axis of {M} nodes, got {values.shape}")
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        first = np.argmax(bad.reshape(-1, M).any(axis=0))
+    if values.shape[:1] != (M,):
+        raise ValueError(f"integrand must return a first axis of {M} nodes, got {values.shape}")
+    if not np.isfinite(values).all():
+        first = np.argmax(~np.isfinite(values).reshape(M, -1).all(axis=1))
         raise NonFiniteIntegrandError(
             f"integrand returned a non-finite value at node {nodes[:, first]}"
         )
-    acc = weights[0] * values[..., 0]
-    for m in range(1, M):
-        acc = acc + weights[m] * values[..., m]
-    result = acc * np.pi ** (-d / 2)
+    weighted = np.ascontiguousarray(values).reshape(M, -1) * weights[:, None]
+    if weighted.shape[1] == 1:
+        acc = np.cumsum(weighted[:, 0])[-1]
+    else:
+        acc = np.add.reduce(weighted, axis=0)
+    result = acc.reshape(values.shape[1:]) * np.pi ** (-d / 2)
     return float(result) if result.ndim == 0 else result

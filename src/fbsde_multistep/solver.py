@@ -62,6 +62,10 @@ WORK_MARGIN = 1.25
 # Stencil entries a level workspace may keep in stored interpolation plans,
 # all fans together (each entry is one int64 index and one float64 weight).
 MAX_PLAN_ENTRIES = 1 << 18
+# Integrand values (nodes x fans x rows x [y | y dW] columns) one quadrature
+# call of a level pass may hold; larger passes go in row blocks, so memory
+# stays flat in the window's size and in L^d.
+EXPECT_BLOCK_VALUES = 1 << 16
 
 # Warm-start weights of the level step, by the number of history levels
 # given: the degree 0, 1 and 2 extrapolations in time through the newest ones.
@@ -101,9 +105,10 @@ class SolverConfig:
     max_picard: int = 100
     # Budget for the coupled outer loop.  A level exits early once its
     # residual falls below max(eps0, OUTER_TOL_FRACTION * dt^(k+1)), a
-    # fraction of the scheme's local error; when the budget runs out while
-    # the iteration is still contracting, the current image is accepted
-    # (and warned about), and an actual divergence still raises.
+    # fraction of the scheme's local error, or once its contraction rate
+    # predicts the rest of the error below that; when the budget runs out
+    # while the iteration is still contracting, the current image is
+    # accepted (and warned about), and an actual divergence still raises.
     max_outer: int = 6
     terminal_mode: str = "exact"
 
@@ -485,7 +490,7 @@ class _LevelWorkspace:
     and of every stored field, whose rows the step reads as views.  It also
     remembers the latest pass's forward coefficients (dt, b_n, sigma_n) with
     their safe mask and, once a pass repeats them, the interpolation plan of
-    each j's quadrature fan (see :meth:`step`).
+    each j's quadrature fan over each row block (see :meth:`step`).
     """
 
     def __init__(self, problem, disc, coeffs, config, band_exact=False):
@@ -498,12 +503,13 @@ class _LevelWorkspace:
         self.max_outer = config.max_outer if problem.coupled else 1
         self.band_exact = band_exact
         self.picard_counts: list[int] = []
-        # (residual, tolerance) of each level whose outer budget ran out
-        self.unconverged: list[tuple[float, float]] = []
+        # (residual, tolerance, last contraction rate or None) of each level
+        # whose outer budget ran out
+        self.unconverged: list[tuple[float, float, Optional[float]]] = []
         self._broyden = None
         self._coeff_key = None  # (dt, b_n, sigma_n) of the latest pass
         self._mask = None  # its safe mask
-        self._plans = None  # j -> plan of the fan under _coeff_key on the _mask rows
+        self._plans = None  # (j, first row of the block) -> plan of that fan block
 
     def _warm_start(self, history, v_next):
         """The first iterate of a step: PREDICTOR_WEIGHTS through the newest levels.
@@ -584,43 +590,51 @@ class _LevelWorkspace:
         """E[Y^{n+j}] and E[Y^{n+j} dW^T] for j = 1..k via Gauss-Hermite.
 
         ``X`` holds the rows to evaluate, safe under ``b_n`` and ``sig_n``,
-        their forward coefficients.  One quadrature call per j reads the
-        history field at the whole fan of Euler predictors (every node at
-        every row) and returns Y (x) (1, dW), dW carrying the sqrt(2 j dt)
-        node scaling.  With ``plans``, the pass's store from
-        :meth:`_pass_plans`, None the fan is read in one interpolation call;
-        otherwise its stored plan (built on first use) is applied to the
-        field, bitwise the same values.
+        their forward coefficients.  The rows go in blocks of at most
+        EXPECT_BLOCK_VALUES integrand values, one quadrature call per block
+        for all k fans (one call per pass unless the window is large or
+        L^d is).  A block's integrand reads fan j from ``history[j]`` and
+        returns node-major values (M, k, rows, p, 1 + d), Y (x) (1, dW), dW
+        carrying fan j's sqrt(2 j dt) node scaling.  With ``plans``, the
+        pass's store from :meth:`_pass_plans`, None each fan is read in one
+        interpolation call; otherwise its stored plan for the block (built
+        on first use) is applied to the field, bitwise the same values.
+        Fan j's Euler predictors are built just before it is read, and only
+        when it is read without a plan, so one fan's are alive at a time.
         """
-        problem, disc = self.problem, self.disc
-        n, q, p = X.shape[0], problem.q, problem.p
-        EY = np.empty((self.k, n, p))
-        EYW = np.empty((self.k, n, p, problem.d))
-        for j in range(1, self.k + 1):
-            fld = history[j]
+        problem, spec, r = self.problem, self.disc.spec, self.disc.r
+        n, q, p, d, k = X.shape[0], problem.q, problem.p, problem.d, self.k
+        M = self.disc.rule.L**d
+        EY = np.empty((k, n, p))
+        EYW = np.empty((k, n, p, d))
+        rows = max(1, EXPECT_BLOCK_VALUES // (M * k * p * (1 + d)))
+        for first in range(0, n, rows):
+            block = slice(first, first + rows)
+            Xb, b_b, sig_b = X[block], b_n[block], sig_n[block]
+            nb = Xb.shape[0]
 
-            def integrand(v):
-                M = v.shape[1]
-                dW = math.sqrt(j * dt) * v  # v = sqrt(2) * nodes, shape (d, M)
+            def integrand(v):  # v = sqrt(2) * nodes, shape (d, M)
+                values = np.empty((M, k, nb, p, 1 + d))
+                for j in range(1, k + 1):
+                    fld, key = history[j], (j, first)
+                    dW = math.sqrt(j * dt) * v
+                    values[:, j - 1, :, :, 1:] = dW.T[:, None, None, :]
+                    if plans is None or key not in plans:  # fan j's Euler predictors
+                        fan = Xb + b_b * (j * dt) + np.einsum("nqd,dm->mnq", sig_b, dW)
+                        fan = fan.reshape(M * nb, q)  # node-major
+                    if plans is None:
+                        Yj = interpolate_values(fld.y_values, fld.window, spec, fan, r)
+                    else:
+                        if key not in plans:
+                            plans[key] = interpolation_plan(fld.window, spec, fan, r)
+                        Yj = plans[key].apply(fld.y_values)
+                    values[:, j - 1, :, :, :1] = Yj.reshape(M, nb, p, 1)
+                values[..., 1:] *= values[..., :1]
+                return values
 
-                def fan():  # the Euler predictors, node-major
-                    Xq = X + b_n * (j * dt) + np.einsum("nqd,dm->mnq", sig_n, dW)
-                    return Xq.reshape(M * n, q)
-
-                if plans is None:
-                    Yq = interpolate_values(fld.y_values, fld.window, disc.spec, fan(), disc.r)
-                else:
-                    if j not in plans:
-                        plans[j] = interpolation_plan(fld.window, disc.spec, fan(), disc.r)
-                    Yq = plans[j].apply(fld.y_values)
-                Yq = Yq.reshape(M, n, p)
-                factors = np.vstack([np.ones(M), dW]).T  # (M, 1 + d)
-                # Node-major in memory, so each node's slice is contiguous.
-                return np.moveaxis(Yq[:, :, :, None] * factors[:, None, None, :], 0, -1)
-
-            moments = expect_gaussian(integrand, problem.d, disc.rule)
-            EY[j - 1] = moments[:, :, 0]
-            EYW[j - 1] = moments[:, :, 1:]
+            moments = expect_gaussian(integrand, d, self.disc.rule)
+            EY[:, block] = moments[..., 0]
+            EYW[:, block] = moments[..., 1:]
         return EY, EYW
 
     def _implicit_y(self, t_n, X, rhs, Z, y_start, alpha0, level):
@@ -653,6 +667,13 @@ class _LevelWorkspace:
         scheme's local error, as implicit ODE codes stop their Newton
         iteration (Hairer & Wanner, Solving ODEs II, IV.8); a residual
         above both the first pass's and that tolerance is a divergence.
+        From the second pass on, the contraction rate theta = delta_m /
+        delta_(m-1), the latest residual max over the one before, completes
+        that rule: a level whose theta < 1 and theta / (1 - theta) * delta
+        falls below the tolerance also stops, as converged.  It returns one
+        more Broyden step from its iterate (band rows pinned), the iterate
+        whose error the rule predicts, rather than the image g, whose
+        residual can still be far above the tolerance there.
         ``history[j]`` is the field of level ``level + j`` for j = 1..k and
         up to j = 3; the warm start is the time extrapolation of degree
         min(2, len(history) - 1) through the newest levels
@@ -665,9 +686,9 @@ class _LevelWorkspace:
         coefficients do not depend on t, or a repeated outer iterate) reuses
         that pass's safe mask: equal values give the same fans, and NaN never
         repeats.  If it also runs on exactly those safe rows and the k plans
-        fit in MAX_PLAN_ENTRIES, it reads each fan through a stored
-        interpolation plan, built on the first such pass and applied on every
-        later one.  Any other pass streams its fans; a pass with new
+        fit in MAX_PLAN_ENTRIES, it reads each fan's row block through a
+        stored interpolation plan, built on the first such pass and applied
+        on every later one.  Any other pass streams its fans; a pass with new
         coefficients drops the stored plans and raises PicardDivergenceError
         at the first point where they are not finite.  Every value is
         bitwise the same either way.
@@ -684,7 +705,7 @@ class _LevelWorkspace:
         if self._broyden is not None:
             self._broyden.new_level()
         safe = None
-        first_delta = None
+        first_delta = last_delta = None
         g = np.empty_like(v)
         for outer in range(self.max_outer):
             y_cur, z_cur = v[:, :p], v[:, p:].reshape(n, p, d)
@@ -722,15 +743,24 @@ class _LevelWorkspace:
             # consecutive-difference tolerance under acceleration.
             res = np.abs(g - v)
             delta = float(np.max(res))
+            theta = None if last_delta is None else delta / last_delta
             if first_delta is None:
                 first_delta = delta
+            last_delta = delta
+            # The rate exit: contracting at theta, the iterate's remaining
+            # error is about theta / (1 - theta) * delta.
+            if theta is not None and theta < 1.0 and delta >= tol > theta / (1.0 - theta) * delta:
+                v = self._broyden.step(v, g)
+                v[unsafe] = band
+                self.picard_counts.append(outer + 1)
+                return self.disc.field(level, v)
             if delta < tol or outer + 1 == self.max_outer:
                 if delta > max(first_delta, tol):
                     break  # residual grew: report divergence below
                 if problem.coupled:
                     self.picard_counts.append(outer + 1)
                     if delta >= tol:
-                        self.unconverged.append((delta, tol))
+                        self.unconverged.append((delta, tol, theta))
                 else:
                     self.picard_counts.append(iters)
                 return self.disc.field(level, g)
@@ -836,11 +866,13 @@ def _warn_unconverged(config, sweep, chain):
             parts.append(f"{len(ws.unconverged)} of {len(ws.picard_counts)} {what}")
             accepted += ws.unconverged
     if parts:
-        residual, tol = max(accepted, key=lambda pair: pair[0] / pair[1])
+        residual, tol, theta = max(accepted, key=lambda entry: entry[0] / entry[1])
         logger.warning(
             "%s accepted an outer iterate with residual >= the level tolerance "
-            "(worst %.3g against %.3g) when the max_outer=%d budget ran out",
+            "(worst %.3g against %.3g) when the max_outer=%d budget ran out; "
+            "that level's last contraction rate was %s",
             " and ".join(parts), residual, tol, config.max_outer,
+            "unmeasured (one pass)" if theta is None else f"{theta:.3g}",
         )
 
 

@@ -139,3 +139,27 @@ def test_same_results_cells_and_digest():
     assert same_results.result_digest(Result()) != digest
     Result.z0, Stats.mean_iterations = [[2.0]], 6.25
     assert same_results.result_digest(Result()) != digest
+
+
+def test_same_results_describes_how_a_moved_cell_changed():
+    class Stats:
+        max_iterations, mean_iterations = 4, 3.3
+
+    class Result:
+        y0, z0, err_y, err_z, picard_stats = [1.0], [[2.0]], [7.12814e-5], [[9.38848e-6]], Stats()
+
+    base = same_results.result_record(Result())
+    assert base == {"digest": same_results.result_digest(Result()), "err_y": 7.12814e-5,
+                    "err_z": 9.38848e-6, "picard_stats": [4, 3.3]}
+    Result.err_y, Result.err_z = [7.12883e-5], [[9.38613e-6, 1e-7]]
+    Stats.max_iterations, Stats.mean_iterations = 3, 7 / 3
+    head = same_results.result_record(Result())
+    assert head["err_z"] == 9.38613e-6  # the largest component
+    assert json.loads(json.dumps(head)) == head  # what the solving subprocess prints
+    assert same_results.describe_change(base, head) == (
+        "err_y +0.00968%  err_z -0.025%  picard_stats (4, 3.3) -> (3, 2.333)"
+    )
+    Result.err_y = None
+    assert same_results.describe_change(base, same_results.result_record(Result())).startswith(
+        "err_y n/a  err_z -0.025%"
+    )

@@ -134,9 +134,10 @@ def test_separable_product_factorizes():
 
 
 def test_vector_valued_integrand():
+    # values are node-major: one row of three values per node
     rule = hermite_rule(4)
     out = expect_gaussian(
-        lambda v: np.stack([np.ones(v.shape[1]), v[0] ** 2, v[0] ** 3]), 1, rule
+        lambda v: np.stack([np.ones(v.shape[1]), v[0] ** 2, v[0] ** 3], axis=1), 1, rule
     )
     np.testing.assert_allclose(out, [1.0, 1.0, 0.0], atol=1e-12)
 
@@ -144,19 +145,31 @@ def test_vector_valued_integrand():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_matches_per_node_reference_sum(d):
     # The node-by-node sum in itertools.product order (last coordinate
-    # fastest), with the same arithmetic, is the bitwise reference.
+    # fastest), with the same arithmetic, is the bitwise reference, for
+    # integrands with one value per node (a plain (M,) array, which numpy
+    # would sum pairwise), two and three.
     rule = hermite_rule(4)
+    columns = [
+        lambda v: v[0] * v[-1] * v[-1] + 0.5 * v[0],
+        lambda v: v[-1] * v[-1] * v[-1] - v[0],
+        lambda v: np.cos(v[0]) + v[-1],
+    ]
+    for count in (1, 2, 3):
 
-    def g(v):
-        return np.stack([v[0] * v[-1] * v[-1] + 0.5 * v[0], v[-1] * v[-1] * v[-1] - v[0]])
+        def g(v):
+            if count == 1:
+                return columns[0](v)
+            return np.stack([column(v) for column in columns[:count]], axis=1)
 
-    acc = None
-    for idx in itertools.product(range(rule.L), repeat=d):
-        node = math.sqrt(2.0) * rule.nodes[list(idx)]
-        value = g(node[:, None])[:, 0]
-        weight = float(np.prod(rule.weights[list(idx)]))
-        acc = weight * value if acc is None else acc + weight * value
-    np.testing.assert_array_equal(expect_gaussian(g, d, rule), acc * np.pi ** (-d / 2))
+        acc = None
+        for idx in itertools.product(range(rule.L), repeat=d):
+            node = math.sqrt(2.0) * rule.nodes[list(idx)]
+            value = g(node[:, None])[0]
+            weight = float(np.prod(rule.weights[list(idx)]))
+            acc = weight * value if acc is None else acc + weight * value
+        got = expect_gaussian(g, d, rule)
+        assert np.shape(got) == (() if count == 1 else (count,))
+        np.testing.assert_array_equal(got, acc * np.pi ** (-d / 2))
 
 
 def test_non_finite_integrand_reports_node():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from fbsde_multistep import (
     PicardDivergenceError,
     SolverConfig,
     discretize,
+    expect_gaussian,
     fit_rate,
     grid_points,
     init_terminal,
+    interpolate_values,
     registry_get,
     solve,
 )
@@ -533,8 +536,9 @@ def test_fan_past_the_hull_fails_loudly(monkeypatch):
 
 
 def test_one_gather_per_level_and_step(monkeypatch):
-    # Each (level, j) is one expectation reading the history field in one
-    # interpolation call; one more reads the packed (y0, z0) row at x0.
+    # Each level's one pass is one expectation for all k fans, which reads
+    # each history field in one interpolation call; one more call reads the
+    # packed (y0, z0) row at x0.
     calls = {"expect": 0, "interp": 0}
     expect, interp = solver.expect_gaussian, solver.interpolate_values
 
@@ -550,7 +554,7 @@ def test_one_gather_per_level_and_step(monkeypatch):
     monkeypatch.setattr(solver, "interpolate_values", counted_interp)
     config = SolverConfig(k=2, N=16)
     solve(EX51, config)
-    assert calls == {"expect": (config.N - config.k) * config.k, "interp": 29}
+    assert calls == {"expect": config.N - config.k, "interp": 29}
 
 
 def test_max_outer_bounds_sweep_and_bootstrap_levels():
@@ -630,11 +634,12 @@ def _unconverged_warnings(caplog, problem, config):
 def test_outer_iterates_accepted_unconverged_warn_once(caplog):
     # Levels are counted only when the budget runs out above the level
     # tolerance max(eps0, OUTER_TOL_FRACTION * dt^(k+1)); ex55 k2 N8 with
-    # bootstrap seeds stalls on two levels, one at 1.66e-3 against 1.95e-5.
+    # bootstrap seeds ends one level on the budget, at 1.66e-3 against
+    # 1.95e-5 (before the rate exit, level 0 did too).
     config = SolverConfig(k=2, N=8, terminal_mode="bootstrap")
     warned = _unconverged_warnings(caplog, registry_get("ex55"), config)
     assert len(warned) == 1
-    assert warned[0].startswith("2 of 6 sweep levels")
+    assert warned[0].startswith("1 of 6 sweep levels")
     assert "(worst 0.00166 against 1.95e-05)" in warned[0]
     assert _unconverged_warnings(caplog, registry_get("ex54b"), SolverConfig(k=1, N=16)) == []
     ex54a = registry_get("ex54a")
@@ -1040,3 +1045,226 @@ def test_signed_zero_coefficients_repeat(monkeypatch):
     )
     _assert_same_result(reused, solve(HEAT_D2, config))
     assert built == [(2, 4)] * 2
+
+
+def _per_fan_expectations(self, dt, X, b_n, sig_n, history, plans=None):
+    """E[Y^{n+j}] and E[Y^{n+j} dW^T] by one quadrature call per (level, j).
+
+    The level pass before its k fans were fused into one call: each fan is
+    read over all rows in one interpolation call, so this reference always
+    streams (a stored plan reads bitwise the same values).  Its signature is
+    that of ``_LevelWorkspace._expectations``, so it can stand in for it.
+    """
+    problem, disc = self.problem, self.disc
+    n, q, p = X.shape[0], problem.q, problem.p
+    EY = np.empty((self.k, n, p))
+    EYW = np.empty((self.k, n, p, problem.d))
+    for j in range(1, self.k + 1):
+        fld = history[j]
+
+        def integrand(v):
+            M = v.shape[1]
+            dW = math.sqrt(j * dt) * v
+            Xq = X + b_n * (j * dt) + np.einsum("nqd,dm->mnq", sig_n, dW)
+            Yq = interpolate_values(
+                fld.y_values, fld.window, disc.spec, Xq.reshape(M * n, q), disc.r
+            )
+            factors = np.vstack([np.ones(M), dW]).T  # (M, 1 + d)
+            return Yq.reshape(M, n, p)[:, :, :, None] * factors[:, None, None, :]
+
+        moments = expect_gaussian(integrand, problem.d, disc.rule)
+        EY[j - 1] = moments[..., 0]
+        EYW[j - 1] = moments[..., 1:]
+    return EY, EYW
+
+
+_FUSED_EXPECTATIONS = solver._LevelWorkspace._expectations
+
+
+def _check_fused_passes(monkeypatch):
+    """Check every level pass bitwise against _per_fan_expectations.
+
+    Returns a list that the solves then fill with one (stored plans used,
+    quadrature calls) pair per pass.
+    """
+    passes, calls = [], [0]
+    expect = solver.expect_gaussian
+
+    def counted_expect(*args):
+        calls[0] += 1
+        return expect(*args)
+
+    def checked(self, dt, X, b_n, sig_n, history, plans):
+        calls[0] = 0
+        EY, EYW = _FUSED_EXPECTATIONS(self, dt, X, b_n, sig_n, history, plans)
+        passes.append((plans is not None, calls[0]))
+        ref_EY, ref_EYW = _per_fan_expectations(self, dt, X, b_n, sig_n, history)
+        np.testing.assert_array_equal(EY, ref_EY)
+        np.testing.assert_array_equal(EYW, ref_EYW)
+        return EY, EYW
+
+    monkeypatch.setattr(solver, "expect_gaussian", counted_expect)
+    monkeypatch.setattr(solver._LevelWorkspace, "_expectations", checked)
+    return passes
+
+
+@pytest.mark.parametrize(
+    "problem, config, block_values, blocks, stored",
+    [(EX51, SolverConfig(k=k, N=8), None, False, False) for k in (1, 2, 3, 4)]
+    + [
+        (EX52, SolverConfig(k=3, N=16), None, False, True),
+        (HEAT_D2, SolverConfig(k=2, N=8, L=4), None, False, True),
+        (HEAT_D2, SolverConfig(k=2, N=8, L=32), None, True, False),
+        (EX51, SolverConfig(k=3, N=8), 500, True, False),
+        (EX52, SolverConfig(k=2, N=16), 500, True, True),
+        (HEAT_D2, SolverConfig(k=2, N=8, L=4), 500, True, True),
+        (registry_get("ex55"), SolverConfig(k=2, N=8), 500, True, False),
+    ],
+    ids=[f"ex51-k{k}" for k in (1, 2, 3, 4)]
+    + ["ex52_bs", "heat_d2-L4", "heat_d2-L32"]
+    + [f"{name}-small-blocks" for name in ("ex51", "ex52_bs", "heat_d2", "ex55")],
+)
+def test_fused_pass_matches_per_fan_expectations(
+    monkeypatch, problem, config, block_values, blocks, stored
+):
+    # One quadrature call per row block for all k fans, bitwise the k
+    # per-fan calls over all rows: streaming where the coefficients read t
+    # (ex51, ex55) or the plans would pass the cap (heat_d2 at L = 32),
+    # through stored plans from the second level on where they repeat.  The
+    # 1-d windows fit one block; L^2 = 1024 nodes (heat_d2 at L = 32) or a
+    # small block constant split each pass into several blocks, each with
+    # its own plans.
+    if block_values is not None:
+        monkeypatch.setattr(solver, "EXPECT_BLOCK_VALUES", block_values)
+    passes = _check_fused_passes(monkeypatch)
+    solve(problem, config)
+    assert len(passes) >= config.N - config.k
+    assert all(calls > 2 if blocks else calls == 1 for _, calls in passes)
+    if stored:
+        assert [used for used, _ in passes] == [False] + [True] * (len(passes) - 1)
+    else:
+        assert not any(used for used, _ in passes)
+
+
+def test_two_noise_dimensions_at_64_nodes_keep_memory_flat(monkeypatch):
+    # L = 64 puts 4096 nodes under each fan.  The pass goes through the
+    # quadrature in row blocks of EXPECT_BLOCK_VALUES values, so the solve's
+    # allocations peak near 2.2 MB, where one call per (level, j) over all
+    # rows reached 9.7 MB, with y0 and z0 bitwise the same
+    config = SolverConfig(k=2, N=8, L=64)
+    tracemalloc.start()
+    try:
+        result = solve(HEAT_D2, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.discretization.rule.L == 64
+    assert peak <= 4 * 2**20
+    monkeypatch.setattr(solver._LevelWorkspace, "_expectations", _per_fan_expectations)
+    reference = solve(HEAT_D2, config)
+    np.testing.assert_array_equal(result.y0, reference.y0)
+    np.testing.assert_array_equal(result.z0, reference.z0)
+
+
+def _scripted_level(monkeypatch, offsets):
+    """One coupled level with pass m's Y image moved by offsets[m], iterated plainly (v = g).
+
+    The level is the top sweep level of the coupled-flagged linear problem
+    at k = 2, N = 8, from exact seeds: every pass has the same exact image
+    and the warm start is exact, so pass 0's residual is offsets[0] and pass
+    m's |offsets[m] - offsets[m-1]|.  Returns the workspace and the config.
+    """
+    passes = []
+    implicit_y = solver._LevelWorkspace._implicit_y
+
+    def scripted(self, *args):
+        y, iters = implicit_y(self, *args)
+        passes.append(len(passes))
+        return y + offsets[passes[-1]], iters
+
+    monkeypatch.setattr(solver._LevelWorkspace, "_implicit_y", scripted)
+    monkeypatch.setattr(solver._BroydenState, "step", lambda self, v, g: g.copy())
+    problem, config = linear_problem(coupled=True), SolverConfig(k=2, N=8)
+    disc = discretize(problem, config)
+    fields, _ = init_terminal(problem, config, disc)
+    ws = solver._LevelWorkspace(problem, disc, solver.compute_coeffs(2), config, band_exact=True)
+    dt, n = problem.T / config.N, config.N - config.k - 1
+    ws.step(n, n * dt, dt, {j: fields[n + j] for j in (1, 2, 3)})
+    return ws, config
+
+
+def test_level_without_contraction_never_exits_early(monkeypatch, caplog):
+    # residuals 8c, 2c, 3c, 4c, 5c, 6c: from the third pass on the rate is
+    # 1.5, 1.33, 1.25, 1.2, never below 1, so the level runs its budget
+    # out, and the last residual, below the first, is accepted and warned
+    # about with that rate
+    c = 1e-3  # far above the level tolerance 0.01 * (1/8)^3 = 1.95e-5
+    ws, config = _scripted_level(monkeypatch, [8 * c, 6 * c, 9 * c, 5 * c, 10 * c, 4 * c])
+    assert ws.picard_counts == [config.max_outer]
+    ((residual, tol, theta),) = ws.unconverged
+    assert residual == pytest.approx(6 * c) and theta == pytest.approx(1.2)
+    with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
+        solver._warn_unconverged(config, ws, None)
+    (warned,) = [r.getMessage() for r in caplog.records]
+    assert warned.startswith("1 of 1 sweep levels")
+    assert "residual >= the level tolerance (worst 0.006 against 1.95e-05)" in warned
+    assert warned.endswith("that level's last contraction rate was 1.2")
+
+
+def test_contracting_level_takes_the_rate_exit(monkeypatch):
+    # residuals 8c, then 0.05c = 5e-5, still above the tolerance 1.95e-5, at
+    # a rate 0.00625 that predicts 3e-7 more: the level ends on its second
+    # pass, where the tolerance alone would take a third, and counts as
+    # converged
+    c = 1e-3
+    ws, _ = _scripted_level(monkeypatch, [8 * c, 8.05 * c, 8.05 * c])
+    assert ws.picard_counts == [2]
+    assert ws.unconverged == []
+
+
+def test_rate_exit_returns_the_broyden_iterate_with_band_rows_pinned(monkeypatch):
+    # A level that takes the rate exit makes one Broyden step per pass, the
+    # last one on its final pass; it returns that step's iterate, with the
+    # band rows set to their band values, not the pass's image g.
+    levels, current = [], {}
+    broyden = solver._BroydenState.step
+    band_values = solver._LevelWorkspace._band_values
+    step = solver._LevelWorkspace.step
+
+    def recorded_broyden(self, v, g):
+        out = broyden(self, v, g)
+        current["broyden"].append((g.copy(), out.copy()))
+        return out
+
+    def recorded_band(self, level, t_n, unsafe, v_next):
+        current["unsafe"] = unsafe
+        return band_values(self, level, t_n, unsafe, v_next)
+
+    def recorded_step(self, *args):
+        current.update(broyden=[], unsafe=None)
+        field = step(self, *args)
+        levels.append((field, self.picard_counts[-1], current["broyden"], current["unsafe"]))
+        return field
+
+    monkeypatch.setattr(solver._BroydenState, "step", recorded_broyden)
+    monkeypatch.setattr(solver._LevelWorkspace, "_band_values", recorded_band)
+    monkeypatch.setattr(solver._LevelWorkspace, "step", recorded_step)
+    solve(registry_get("ex55"), SolverConfig(k=2, N=16))
+    rate_exits = [level for level in levels if len(level[2]) == level[1]]
+    assert len(rate_exits) >= 2
+    for field, _, records, unsafe in rate_exits:
+        g, accelerated = records[-1]
+        rows = field.values.reshape(len(unsafe), -1)
+        assert unsafe.any() and not unsafe.all()
+        np.testing.assert_array_equal(rows[~unsafe], accelerated[~unsafe])
+        np.testing.assert_array_equal(rows[unsafe], g[unsafe])
+        assert not np.array_equal(rows, g)
+
+
+def test_rate_exit_cuts_ex55_passes_at_the_old_errors():
+    # Under the tolerance exit alone ex55 k2 N32 took 3.30 passes per level,
+    # at err_y 7.12814e-5 and err_z 9.38848e-6
+    result = solve(registry_get("ex55"), SolverConfig(k=2, N=32))
+    assert result.picard_stats.mean_iterations <= 2.6
+    assert result.err_y[0] == pytest.approx(7.12813971306403e-05, rel=5e-3)
+    assert result.err_z[0, 0] == pytest.approx(9.388476943077845e-06, rel=5e-3)
