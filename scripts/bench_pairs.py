@@ -6,17 +6,22 @@ Run from the root of a checkout:
         --pairs coupled_1d=2 --tests tests/test_acceptance.py::test_name \
         --out BENCH_example.json
 
-The base revision is exported with ``git archive`` into a temporary directory,
-so nothing is written under ``.git`` or ``src/``.  Pair i runs
+The base revision and the working tree are each exported with ``git archive``
+into a temporary directory, so both sides run from a fresh copy (a run's
+``peak_rss_mb`` depends on the directory it starts from) and nothing is
+written under ``src/``.  The working tree's export holds its tracked files
+with their uncommitted changes, recorded by ``git stash create`` as an
+unreferenced commit (HEAD itself on a clean tree); stage a new file for it to
+be exported.  Pair i runs
 
     python3 perfbench/run.py --workload W --seed i --trace 0
 
-once in the export and once in the working tree, in alternating order (the
-base first on odd pairs).  The output file holds the environment line of the
-first run, every run's end-to-end metrics, and per side the median and the
-quartiles of each metric, in the order ``perfbench/run.py`` reports them (the
-error geomeans sit next to the timings), plus how many pairs the working tree
-won on each metric.
+once in each export, in alternating order (the base first on odd pairs).
+The output file holds the environment line of the first run, every run's
+end-to-end metrics, and per side the median and the quartiles of each
+metric, in the order ``perfbench/run.py`` reports them (the error geomeans
+sit next to the timings), plus how many pairs the working tree won on each
+metric.
 
 Each ``--tests NODEID`` runs ``python3 -m pytest -q NODEID`` once per side
 (the base first), with PYTHONPATH set to that side's ``src``; the file then
@@ -106,17 +111,31 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
-def export_revision(rev: str, dest: Path) -> str:
-    """Extract ``rev`` of the repository into ``dest``; returns its commit id."""
+def export_revision(rev: str, dest: Path, root: Path = ROOT) -> str:
+    """Extract ``rev`` of the repository at ``root`` into ``dest``; returns its commit id."""
     sha = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", rev], check=True, capture_output=True, text=True
+        ["git", "-C", str(root), "rev-parse", rev], check=True, capture_output=True, text=True
     ).stdout.strip()
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", sha], check=True, capture_output=True
+        ["git", "-C", str(root), "archive", "--format=tar", sha], check=True, capture_output=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def export_working_tree(dest: Path, root: Path = ROOT) -> str:
+    """Extract the tracked files of ``root``'s working tree into ``dest``.
+
+    Uncommitted changes are included: ``git stash create`` records them as a
+    commit without touching the checkout, the index or the stash list, and
+    prints nothing on a clean tree, which exports HEAD.  Returns the exported
+    commit id.
+    """
+    stash = subprocess.run(
+        ["git", "-C", str(root), "stash", "create"], check=True, capture_output=True, text=True
+    ).stdout.strip()
+    return export_revision(stash or "HEAD", dest, root)
 
 
 def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
@@ -165,10 +184,10 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in metrics}
 
     report = {"base": args.base, "head": "working tree", "environment": None, "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_tree = Path(tmp)
-        report["base_commit"] = export_revision(args.base, base_tree)
-        trees = {"base": base_tree, "head": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        report["base_commit"] = export_revision(args.base, trees["base"])
+        report["head_commit"] = export_working_tree(trees["head"])
         for workload, count in plan:
             pairs = []
             for seed in range(1, count + 1):

@@ -41,6 +41,7 @@ from .spacegrid import (
     grid_points,
     interpolate_values,
     interpolation_plan,
+    plan_nbytes,
 )
 
 logger = logging.getLogger(__name__)
@@ -59,8 +60,8 @@ BOOTSTRAP_MAX_SUBSTEPS = 4096
 # work is within WORK_MARGIN times the cheapest candidate's is chosen.
 DEGREE_CANDIDATES = (6, 8, 10, 12, 14)
 WORK_MARGIN = 1.25
-# Stencil entries a level workspace may keep in stored interpolation plans,
-# all fans together (each entry is one int64 index and one float64 weight).
+# Stored interpolation plans (spacegrid.plan_nbytes) a level workspace may
+# keep, all fans together, in 16 B entries: one 1-d offset and weight each.
 MAX_PLAN_ENTRIES = 1 << 18
 # Integrand values (nodes x fans x rows x [y | y dW] columns) one quadrature
 # call of a level pass may hold; larger passes go in row blocks, so memory
@@ -581,7 +582,7 @@ class _LevelWorkspace:
         if self._plans is None:
             disc = self.disc
             fans = int(np.count_nonzero(safe)) * disc.rule.L**self.problem.d
-            if self.k * fans * (disc.r + 1) ** self.problem.q > MAX_PLAN_ENTRIES:
+            if self.k * plan_nbytes(fans, self.problem.q, disc.r) > 16 * MAX_PLAN_ENTRIES:
                 return None
             self._plans = {}
         return self._plans

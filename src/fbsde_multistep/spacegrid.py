@@ -5,6 +5,8 @@ down the finite block of multi-indices actually stored at one time level.
 Interpolation is tensor-product Lagrange of degree r per dimension over a
 block of r+1 consecutive grid points, evaluated in product form, which is
 backward stable on the whole stencil span including the half-cell edge band.
+Sum-factorized: a plan keeps stencil-major flat offsets and per-dimension
+bases, and the apply contracts the gathered stencil one axis at a time.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from .failures import SolverFailure
 
 
-# Stencil entries (queries times (r+1)^q) per query block of interpolate_values.
-_BLOCK_ENTRIES = 1 << 14
+# Gathered stencil entries (queries times (r+1)^q) per query block.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class OutOfDomainError(SolverFailure, ValueError):
@@ -129,13 +131,16 @@ def _stencil_starts(u: np.ndarray, window: ActiveWindow, r: int) -> np.ndarray:
     return np.clip(starts, window.lo, window.hi - r)
 
 
-def _query_coords(spec: GridSpec, window: ActiveWindow, x: np.ndarray, r: int) -> np.ndarray:
-    """Grid coordinates of query points, checked for degree-r stencils in the window."""
+def _query_coords(spec: GridSpec, window: ActiveWindow, points, r: int) -> np.ndarray:
+    """Grid coordinates of (n, q) query points, checked for degree-r stencils in the window."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != spec.q:
+        raise ValueError(f"points must be (n, {spec.q}), got {points.shape}")
     if r < 1:
         raise ValueError(f"interpolation degree r must be >= 1, got {r}")
     if np.any(window.hi - window.lo < r):
         raise ValueError(f"window too small for degree {r} stencils")
-    u = spec.to_grid_coords(x)
+    u = spec.to_grid_coords(points)
     # Written as the negation of "inside" so that NaN coordinates fail too.
     outside = ~((u >= window.lo - 0.5) & (u <= window.hi + 0.5))
     if np.any(outside):
@@ -150,11 +155,9 @@ def _query_coords(spec: GridSpec, window: ActiveWindow, x: np.ndarray, r: int) -
 
 def neighbor_set(spec: GridSpec, window: ActiveWindow, x, r: int) -> np.ndarray:
     """Stencil of (r+1)^q grid multi-indices used to interpolate at x."""
-    u = _query_coords(spec, window, np.asarray(x, dtype=float).reshape(spec.q), r)
-    starts = _stencil_starts(u[None, :], window, r)[0]
-    axes = [starts[dim] + np.arange(r + 1) for dim in range(spec.q)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    u = _query_coords(spec, window, np.reshape(x, (1, spec.q)), r)
+    starts = _stencil_starts(u, window, r)[0]
+    return starts + np.indices((r + 1,) * spec.q).reshape(spec.q, -1).T  # last dimension fastest
 
 
 @cache
@@ -184,35 +187,23 @@ def _lagrange_basis(u: np.ndarray, starts: np.ndarray, r: int) -> np.ndarray:
     return prefix
 
 
-def _stencil_axis(q: int, r: int) -> int:
-    """The stencil axis of the planned index and weight blocks.
-
-    1-d stencils of fewer than 8 entries are laid out stencil-major, (S, n),
-    and summed along axis 0, several times faster than per-row sums.  That
-    adds w_i v_i in stencil order, so a one-column result is bitwise the
-    plain sequential sum, which coupled outer loops (whose exits compare
-    residuals with eps0) rely on.  Larger and tensor stencils keep per-row
-    np.sum over contiguous (n, S) rows; its pairwise summation splits into
-    partial sums from 8 terms on, so those results are not a plain sum.
-    """
-    return 0 if q == 1 and r + 1 < 8 else 1
+def queries_per_block(q: int, r: int) -> int:
+    """Queries per block of interpolate_values and of a plan: _BLOCK_ENTRIES gathered entries."""
+    return max(1, _BLOCK_ENTRIES // (r + 1) ** q)
 
 
-def _batch_coords(spec: GridSpec, window: ActiveWindow, points, r: int) -> np.ndarray:
-    """Grid coordinates of an (n, q) batch of query points, checked as in _query_coords."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != spec.q:
-        raise ValueError(f"points must be (n, {spec.q}), got {points.shape}")
-    return _query_coords(spec, window, points, r)
+def plan_nbytes(n: int, q: int, r: int) -> int:
+    """Bytes a plan of n queries holds: (r+1)^q int64 offsets and q (r+1) float64 weights each."""
+    return 8 * n * ((r + 1) ** q + q * (r + 1))
 
 
 def _plan_blocks(u: np.ndarray, window: ActiveWindow, r: int):
-    """Yield (rows, index, weights) per query block of _BLOCK_ENTRIES stencil entries.
+    """Yield (rows, index, basis) per block of queries_per_block(q, r) queries.
 
-    ``u`` holds the queries' grid coordinates, (n, q).  ``index`` holds the
-    flat offsets of each query's (r+1)^q stencil into the C-ordered window
-    values (last dimension fastest) and ``weights`` its tensor-product
-    Lagrange weights, both laid out as _stencil_axis says: (S, n) or (n, S).
+    ``u`` holds the queries' grid coordinates, (n, q).  ``index`` (S, n)
+    holds the flat offsets of each query's S = (r+1)^q stencil into the
+    C-ordered window values, stencil-major with the last dimension fastest;
+    ``basis`` (q, r+1, n) holds its per-dimension Lagrange weights.
     """
     q = u.shape[1]
     ext = window.extents
@@ -224,36 +215,44 @@ def _plan_blocks(u: np.ndarray, window: ActiveWindow, r: int):
     stencil = offsets * strides[0]
     for dim in range(1, q):
         stencil = (stencil[:, None] + offsets * strides[dim]).ravel()
-    stencil_major = _stencil_axis(q, r) == 0
 
-    block = max(1, _BLOCK_ENTRIES // stencil.size)
+    block = queries_per_block(q, r)
     for first in range(0, u.shape[0], block):
         ub = u[first : first + block]
         starts = _stencil_starts(ub, window, r)
-        basis = _lagrange_basis(ub, starts, r)
         base = (starts[:, 0] - window.lo[0]) * strides[0]
         for dim in range(1, q):
             base += (starts[:, dim] - window.lo[dim]) * strides[dim]
-        if stencil_major:  # 1-d, so the basis is the weights
-            index, weights = stencil[:, None] + base, basis[:, :, 0]
-        else:
-            basis = np.ascontiguousarray(basis.transpose(1, 2, 0))  # (n, q, r+1)
-            index, weights = base[:, None] + stencil, basis[:, 0]
-            for dim in range(1, q):
-                weights = np.einsum("ns,nj->nsj", weights, basis[:, dim]).reshape(len(ub), -1)
-        yield slice(first, first + len(ub)), index, weights
+        basis = np.ascontiguousarray(_lagrange_basis(ub, starts, r).transpose(2, 0, 1))
+        yield slice(first, first + len(ub)), stencil[:, None] + base, basis
 
 
-def _apply_blocks(blocks, axis: int, values: np.ndarray, window: ActiveWindow, n: int):
-    """Contract each value column's gathers with the planned weights, block by block."""
+def _apply_blocks(blocks, values: np.ndarray, window: ActiveWindow, n: int):
+    """Contract each value column's gathered stencils with the planned bases.
+
+    A column's (S, n) gather is contracted axis by axis, last axis first,
+    each axis summed in stencil order one weighted term at a time: a
+    one-column result is the plain sequential sum along every axis, whatever
+    the block's size.  (numpy adds a non-contiguous axis row after row, but
+    sums a contiguous one pairwise from 8 terms on, as it would the stencil
+    axis of a one-query block, which therefore takes a running sum.)
+    """
     ext = window.extents
     if values.shape[: len(ext)] != ext:
         raise ValueError(f"values must start with the window extents {ext}, got {values.shape}")
     columns = values.reshape(np.prod(ext, dtype=int), -1).T
     out = np.empty((n, columns.shape[0]))
-    for rows, index, weights in blocks:
+    for rows, index, basis in blocks:
         for c, column in enumerate(columns):
-            out[rows, c] = np.sum(weights * column[index], axis=axis)
+            part = column[index]
+            for weights in basis[::-1]:  # last axis first
+                part = part.reshape(-1, len(weights), index.shape[1])
+                part *= weights
+                if part.shape[2] == 1:
+                    part = np.cumsum(part, axis=1)[:, -1]
+                else:
+                    part = np.add.reduce(part, axis=1)
+            out[rows, c] = part[0]
     return out.reshape((n,) + values.shape[len(ext) :])
 
 
@@ -270,16 +269,16 @@ def interpolate_values(
     (n, q).  Returns (n, *trailing).  Reproduces polynomials of coordinate
     degree <= r per dimension exactly.
 
-    Queries stream in fixed blocks of _BLOCK_ENTRIES stencil entries, so
-    memory stays flat however many one call carries.  Each block is planned
-    (flat stencil indices and tensor-product Lagrange weights) and then
-    applied (one gather and weighted sum per trailing column); each row's
-    arithmetic is a one-point call's, and that of
-    :meth:`InterpolationPlan.apply` for a plan of the same points.
+    Queries stream in blocks of queries_per_block(q, r), so memory stays
+    flat however many one call carries.  Each block is planned (flat stencil
+    offsets and per-axis Lagrange weights) and then applied (one gather per
+    trailing column, summed axis by axis); each row's arithmetic is a
+    one-point call's, and that of :meth:`InterpolationPlan.apply` for a plan
+    of the same points.
     """
-    u = _batch_coords(spec, window, points, r)
+    u = _query_coords(spec, window, points, r)
     blocks = _plan_blocks(u, window, r)  # a generator: each block is applied as it is planned
-    return _apply_blocks(blocks, _stencil_axis(spec.q, r), values, window, len(u))
+    return _apply_blocks(blocks, values, window, len(u))
 
 
 @dataclass(frozen=True)
@@ -289,27 +288,25 @@ class InterpolationPlan:
     :func:`interpolation_plan` builds it; :meth:`apply` then interpolates any
     array sampled on the same window at those points, bitwise as
     :func:`interpolate_values` would, without recomputing a stencil or a
-    weight.  It holds n (r+1)^q stencil indices and as many weights.
+    weight.  It holds plan_nbytes(n, q, r) bytes: n (r+1)^q stencil offsets
+    and n q (r+1) weights.
     """
 
     window: ActiveWindow
     n: int
-    axis: int
     blocks: tuple
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Interpolate ``values`` (*window.extents, *trailing) at the planned points."""
-        return _apply_blocks(self.blocks, self.axis, values, self.window, self.n)
+        return _apply_blocks(self.blocks, values, self.window, self.n)
 
 
 def interpolation_plan(
     window: ActiveWindow, spec: GridSpec, points: np.ndarray, r: int
 ) -> InterpolationPlan:
     """Plan degree-r interpolation at ``points`` (n, q) on ``window``."""
-    u = _batch_coords(spec, window, points, r)
-    return InterpolationPlan(
-        window, len(u), _stencil_axis(spec.q, r), tuple(_plan_blocks(u, window, r))
-    )
+    u = _query_coords(spec, window, points, r)
+    return InterpolationPlan(window, len(u), tuple(_plan_blocks(u, window, r)))
 
 
 def interpolate(field, spec: GridSpec, x, r: int, window: ActiveWindow | None = None):

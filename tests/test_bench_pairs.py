@@ -1,8 +1,10 @@
 """The summariser of scripts/bench_pairs.py and the comparison of
-scripts/same_results.py, on canned benchmark output and digests."""
+scripts/same_results.py, on canned benchmark output and digests, and the
+working-tree export of scripts/bench_pairs.py on a throwaway repository."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -163,3 +165,39 @@ def test_same_results_describes_how_a_moved_cell_changed():
     assert same_results.describe_change(base, same_results.result_record(Result())).startswith(
         "err_y n/a  err_z -0.025%"
     )
+
+
+def _git(root, *args):
+    return subprocess.run(
+        ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        check=True, capture_output=True, text=True,
+    ).stdout
+
+
+def test_working_tree_export_holds_uncommitted_tracked_changes(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "kept.txt").write_text("committed\n")
+    (repo / "changed.txt").write_text("committed\n")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "first")
+    head = _git(repo, "rev-parse", "HEAD").strip()
+
+    clean = tmp_path / "clean"
+    assert bench_pairs.export_working_tree(clean, repo) == head
+    assert sorted(p.name for p in clean.iterdir()) == ["changed.txt", "kept.txt"]
+
+    (repo / "changed.txt").write_text("edited\n")
+    (repo / "staged.txt").write_text("new\n")
+    _git(repo, "add", "staged.txt")
+    (repo / "untracked.txt").write_text("left out\n")
+    status = _git(repo, "status", "--porcelain")
+    dirty = tmp_path / "dirty"
+    assert bench_pairs.export_working_tree(dirty, repo) != head
+    assert sorted(p.name for p in dirty.iterdir()) == ["changed.txt", "kept.txt", "staged.txt"]
+    assert (dirty / "changed.txt").read_text() == "edited\n"
+    # The checkout, the index and the stash list are as they were.
+    assert _git(repo, "status", "--porcelain") == status
+    assert _git(repo, "rev-parse", "HEAD").strip() == head
+    assert _git(repo, "stash", "list") == ""

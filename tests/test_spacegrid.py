@@ -207,7 +207,7 @@ def test_query_blocks_match_one_point_calls(q, r, trailing):
     spec = GridSpec(q=q, h=[0.25, 0.5][:q], origin=[0.5, -1.0][:q])
     window = ActiveWindow(lo=[-r - 2] * q, hi=[r + 3] * q)
     values = rng.normal(size=window.extents + trailing)
-    block = max(1, spacegrid._BLOCK_ENTRIES // (r + 1) ** q)
+    block = spacegrid.queries_per_block(q, r)
     u = rng.uniform(window.lo - 0.49, window.hi + 0.49, size=(3 * block + 7, q))
     u[::5] = np.rint(u[::5])  # exact node hits, whose basis rows are one-hot
     points = spec.origin + spec.h * u
@@ -338,25 +338,51 @@ def test_kernel_matches_exact_lagrange_reference(q, r, trailing):
             assert abs(got[col] - exact) <= KERNEL_ROUNDING * floor
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
-def test_one_column_1d_result_is_a_plain_stencil_sum(r):
-    # Below 8 stencil entries the kernel adds w_i v_i in stencil order, so a
-    # one-column 1-d result is bitwise the plain sequential sum; coupled outer
-    # loops, whose exits compare residuals with eps0, rely on it.  From 8
-    # entries on (r >= 7) numpy's pairwise sum splits into partial sums.
-    rng = np.random.default_rng(70 + r)
-    spec = spec1d(h=0.3, origin=-0.2)
-    window = ActiveWindow(lo=[-12], hi=[15])
+PLAIN_SUM_CASES = [(1, r) for r in range(1, 15)] + [(2, 3), (2, 6), (2, 8)]
+
+
+@pytest.mark.parametrize(
+    "q, r", PLAIN_SUM_CASES, ids=[str(r) if q == 1 else f"q{q}-{r}" for q, r in PLAIN_SUM_CASES]
+)
+def test_one_column_1d_result_is_a_plain_stencil_sum(q, r):
+    # The kernel sums each axis in stencil order, one weighted term w_i v_i
+    # at a time, the last axis first: a one-column result is bitwise the
+    # plain sequential sum along every axis, for every (q, r).  Coupled
+    # outer loops, whose exits compare residuals with eps0, rely on it.
+    # numpy's np.sum over 8 or more contiguous terms would not be that: its
+    # pairwise summation splits them into partial sums.
+    rng = np.random.default_rng(70 + r + 100 * (q - 1))
+    lo, hi = [-12, -9][:q], [15, 11][:q]
+    spec = GridSpec(q=q, h=[0.3, 0.2][:q], origin=[-0.2, 0.1][:q])
+    window = ActiveWindow(lo=lo, hi=hi)
     values = rng.normal(size=window.extents) * 10.0 ** rng.integers(-3, 4, size=window.extents)
-    points = spec.origin + spec.h * rng.uniform(-12.5, 15.5, size=(2000, 1))
+    u = rng.uniform(window.lo - 0.5, window.hi + 0.5, size=(2000 if q == 1 else 600, q))
+    points = spec.origin + spec.h * u
     got = interpolate_values(values, window, spec, points, r)
-    # Interpolating the identity gives every query's weight of every grid point.
-    weights = interpolate_values(np.eye(values.size), window, spec, points, r)
-    starts = np.array([neighbor_set(spec, window, x, r)[0, 0] for x in points]) - window.lo[0]
+    # Interpolating the identity on one axis's grid gives every query's
+    # weight of every grid point along that axis.
+    weights, starts = [], []
+    for dim in range(q):
+        axis_spec = spec1d(h=spec.h[dim], origin=spec.origin[dim])
+        axis_window = ActiveWindow(lo=[lo[dim]], hi=[hi[dim]])
+        along = points[:, dim : dim + 1]
+        eye = np.eye(window.extents[dim])
+        weights.append(interpolate_values(eye, axis_window, axis_spec, along, r))
+        first = [neighbor_set(axis_spec, axis_window, x, r)[0, 0] for x in along]
+        starts.append(np.array(first) - lo[dim])
     rows = np.arange(len(points))
-    plain = weights[rows, starts] * values[starts]
-    for i in range(1, r + 1):
-        plain = plain + weights[rows, starts + i] * values[starts + i]
+
+    def plain_sum(dim, term):
+        """sum_i w_i term(i) along ``dim``, added in stencil order."""
+        total = weights[dim][rows, starts[dim]] * term(0)
+        for i in range(1, r + 1):
+            total = total + weights[dim][rows, starts[dim] + i] * term(i)
+        return total
+
+    if q == 1:
+        plain = plain_sum(0, lambda i: values[starts[0] + i])
+    else:  # the last axis in stencil order, then the first
+        plain = plain_sum(0, lambda i: plain_sum(1, lambda j: values[starts[0] + i, starts[1] + j]))
     np.testing.assert_array_equal(got, plain)
 
 
@@ -368,7 +394,7 @@ def test_plan_applies_bitwise_as_interpolate_values(q, r, trailing):
     rng = np.random.default_rng(10 * q + r)
     spec = GridSpec(q=q, h=[0.25, 0.5, 0.2][:q], origin=[0.5, -1.0, 0.1][:q])
     window = ActiveWindow(lo=[-r - 2] * q, hi=[r + 3] * q)
-    block = max(1, spacegrid._BLOCK_ENTRIES // (r + 1) ** q)
+    block = spacegrid.queries_per_block(q, r)
     u = rng.uniform(window.lo - 0.5, window.hi + 0.5, size=(2 * block + 5, q))
     points = spec.origin + spec.h * u
     plan = spacegrid.interpolation_plan(window, spec, points, r)
