@@ -271,22 +271,23 @@ def _ex53_sigma(t, X, Y, Z):
 def _ex53_f(t, X, Y, Z):
     a = t + X[:, 0]
     c = t + X[:, 1]
+    cos_a, sin_a, cos_c, sin_c = np.cos(a), np.sin(a), np.cos(c), np.sin(c)
     y1, y2 = Y[:, 0], Y[:, 1]
     z1, z2 = Z[:, 0, 0], Z[:, 1, 0]
-    quartic = _ALPHA2**2 * np.cos(c) ** 4 + _ALPHA1**2 * np.cos(a) ** 4
+    quartic = _ALPHA2**2 * cos_c**4 + _ALPHA1**2 * cos_a**4
     f1 = (
-        -(1.0 + _ALPHA1) * np.cos(a) * np.sin(c)
+        -(1.0 + _ALPHA1) * cos_a * sin_c
         - z2
         + 0.5 * y1 * quartic
         - _ALPHA1 * _ALPHA2 * y2**3
-        - (1.0 + _ALPHA2) * np.sin(a) * np.cos(c)
+        - (1.0 + _ALPHA2) * sin_a * cos_c
     )
     f2 = (
-        (1.0 + _ALPHA1) * np.sin(a) * np.cos(c)
+        (1.0 + _ALPHA1) * sin_a * cos_c
         - z1
         + 0.5 * y2 * quartic
         - _ALPHA1 * _ALPHA2 * y1 * y2**2
-        + (1.0 + _ALPHA2) * np.cos(a) * np.sin(c)
+        + (1.0 + _ALPHA2) * cos_a * sin_c
     )
     return np.stack([f1, f2], axis=-1)
 

@@ -12,7 +12,7 @@ bases, and the apply contracts the gathered stencil one axis at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import factorial
 
 import numpy as np
@@ -70,7 +70,7 @@ class ActiveWindow:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
+    @cached_property  # the bounds are frozen: built on the first read only
     def extents(self) -> tuple[int, ...]:
         return tuple(int(n) for n in self.hi - self.lo + 1)
 
