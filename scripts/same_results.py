@@ -10,9 +10,11 @@ temporary directory.  Each side then solves every cell of
 once, in a subprocess with that side's ``src`` on PYTHONPATH.  Per cell the
 script prints a sha256 of y0, z0, err_y, err_z and picard_stats on each
 side.  Under each cell whose digests differ it prints how far err_y and
-err_z moved (the relative change of their largest component) and both
-sides' picard_stats.  It exits 1 naming each cell whose digest differs or
-that fails on one side only.
+err_z moved (the relative change of their largest component), both sides'
+picard_stats, and each side's budget-exit warning: the solver's warning that
+coupled levels accepted an outer iterate when ``max_outer`` ran out, caught
+from the ``fbsde_multistep.solver`` logger and kept outside the digest.  It
+exits 1 naming each cell whose digest differs or that fails on one side only.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging.handlers
 import os
 import subprocess
 import sys
@@ -80,18 +83,36 @@ def describe_change(base: dict, head: dict) -> str:
     return "  ".join(parts)
 
 
-def solve_cells() -> None:
-    """Subprocess entry: read cells as JSON on stdin, print {label: record or error} JSON."""
+def describe_budget_exits(base: dict, head: dict) -> list[str]:
+    """Each side's budget-exit warning (``budget_exit`` of a record), one line per side."""
+    return [f"{side} budget exits: {rec.get('budget_exit') or 'none'}"
+            for side, rec in zip(SIDES, (base, head))]
+
+
+def solve_cell(cell: dict):
+    """One cell's record, with its budget-exit warning or None as ``budget_exit``, or "error: ..."."""
     from fbsde_multistep import SolverConfig, registry_get, solve
 
-    out = {}
-    for cell in json.load(sys.stdin):
-        try:
-            config = SolverConfig(k=cell["k"], N=cell["N"], terminal_mode=cell["terminal_mode"])
-            out[cell["label"]] = result_record(solve(registry_get(cell["problem"]), config))
-        except Exception as exc:  # a failing cell is an outcome to compare
-            out[cell["label"]] = f"error: {type(exc).__name__}: {exc}"
-    print(json.dumps(out))
+    # a solve logs a few warnings at most, far below the buffer's capacity
+    logger = logging.getLogger("fbsde_multistep.solver")
+    caught = logging.handlers.BufferingHandler(capacity=1 << 10)
+    logger.addHandler(caught)
+    try:
+        config = SolverConfig(k=cell["k"], N=cell["N"], terminal_mode=cell["terminal_mode"])
+        record = result_record(solve(registry_get(cell["problem"]), config))
+    except Exception as exc:  # a failing cell is an outcome to compare
+        return f"error: {type(exc).__name__}: {exc}"
+    finally:
+        logger.removeHandler(caught)
+    messages = [rec.getMessage() for rec in caught.buffer]
+    exits = [msg for msg in messages if "accepted an outer iterate" in msg]
+    record["budget_exit"] = exits[0] if exits else None
+    return record
+
+
+def solve_cells() -> None:
+    """Subprocess entry: read cells as JSON on stdin, print {label: record or error} JSON."""
+    print(json.dumps({cell["label"]: solve_cell(cell) for cell in json.load(sys.stdin)}))
 
 
 def side_records(tree: Path, cells: list[dict]) -> dict:
@@ -141,7 +162,10 @@ def main(argv=None) -> int:
         status = bad.get(label) or ("fails on both" if head.startswith("error:") else "equal")
         print(f"{label:<28} {status:<16} head {head}" + ("" if base == head else f"  base {base}"))
         if status == "digests differ":
-            print(" " * 4 + describe_change(records["base"][label], records["head"][label]))
+            base_rec, head_rec = records["base"][label], records["head"][label]
+            print(" " * 4 + describe_change(base_rec, head_rec))
+            for line in describe_budget_exits(base_rec, head_rec):
+                print(" " * 4 + line)
     print(f"base {args.base} ({commit[:12]}) against the working tree: "
           f"{len(labels) - len(bad)} of {len(labels)} cells alike")
     if bad:

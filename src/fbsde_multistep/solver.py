@@ -69,8 +69,15 @@ MAX_PLAN_ENTRIES = 1 << 18
 EXPECT_BLOCK_VALUES = 1 << 16
 
 # Warm-start weights of the level step, by the number of history levels
-# given: the degree 0, 1 and 2 extrapolations in time through the newest ones.
-PREDICTOR_WEIGHTS = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
+# given: the degree 0, 1, 2 and 3 extrapolations in time through the newest
+# ones.  Degree m errs by O(dt^(m+1)), so the cubic starts a coupled level's
+# outer loop within O(dt^4) of its fixed point.
+PREDICTOR_WEIGHTS = {
+    1: (1.0,),
+    2: (2.0, -1.0),
+    3: (3.0, -3.0, 1.0),
+    4: (4.0, -6.0, 4.0, -1.0),
+}
 
 WORKERS_ENV_VAR = "FBSDE_NUM_WORKERS"
 
@@ -676,8 +683,8 @@ class _LevelWorkspace:
         whose error the rule predicts, rather than the image g, whose
         residual can still be far above the tolerance there.
         ``history[j]`` is the field of level ``level + j`` for j = 1..k and
-        up to j = 3; the warm start is the time extrapolation of degree
-        min(2, len(history) - 1) through the newest levels
+        up to j = 4; the warm start is the time extrapolation of degree
+        min(3, len(history) - 1) through the newest levels
         (PREDICTOR_WEIGHTS), so the implicit-Y Picard iteration, which keeps
         eps0, also starts closer.  The iterate v and its image g are
         [y | z] rows; b, sigma and f read Y and Z as views of them.
@@ -698,8 +705,8 @@ class _LevelWorkspace:
         n, p, d = X.shape[0], problem.p, problem.d
         v_next = history[1].values.reshape(n, -1)
         # The Picard limit does not depend on the start, only the count does:
-        # the quadratic extrapolation in time beats the plain warm start by
-        # two orders in dt.
+        # the cubic extrapolation in time beats the plain warm start by three
+        # orders in dt.
         v = self._warm_start(history, v_next)
         tol = max(self.eps0, OUTER_TOL_FRACTION * dt ** (self.k + 1))
         alpha = self.coeffs.alphas(dt)
@@ -899,7 +906,7 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
     ws = _LevelWorkspace(
         problem, disc, coeffs, config, band_exact=config.terminal_mode == "exact"
     )
-    # The step reads k levels and its predictor up to three.  The scheme
+    # The step reads k levels and its predictor up to four.  The scheme
     # never reads level N; a kinked phi stays out of the predictor too.
     kept = max(k, len(PREDICTOR_WEIGHTS))
     top = N if problem.smooth_terminal else N - 1

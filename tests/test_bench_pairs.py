@@ -1,5 +1,6 @@
 """The summariser of scripts/bench_pairs.py and the comparison of
-scripts/same_results.py, on canned benchmark output and digests, and the
+scripts/same_results.py, on canned benchmark output and digests, the
+budget-exit capture of scripts/same_results.py on small solves, and the
 working-tree export of scripts/bench_pairs.py on a throwaway repository."""
 
 import importlib.util
@@ -8,6 +9,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+
+from fbsde_multistep import SolverConfig, registry_get, solve
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
@@ -165,6 +168,25 @@ def test_same_results_describes_how_a_moved_cell_changed():
     assert same_results.describe_change(base, same_results.result_record(Result())).startswith(
         "err_y n/a  err_z -0.025%"
     )
+
+
+def test_same_results_reports_budget_exits_outside_the_digest():
+    # ex55 k2 N8 with bootstrap seeds ends one sweep level on the max_outer
+    # budget; the cell's record carries that warning, and its digest is the
+    # one of the result alone
+    cell = {"label": "ex55/k2/N8/bootstrap", "problem": "ex55", "k": 2, "N": 8,
+            "terminal_mode": "bootstrap"}
+    warned = same_results.solve_cell(cell)
+    assert warned["budget_exit"].startswith("1 of 6 sweep levels accepted an outer iterate")
+    result = solve(registry_get("ex55"), SolverConfig(k=2, N=8, terminal_mode="bootstrap"))
+    assert warned["digest"] == same_results.result_digest(result)
+    quiet = same_results.solve_cell(dict(cell, label="ex55/k2/N8/exact", terminal_mode="exact"))
+    assert quiet["budget_exit"] is None
+    assert json.loads(json.dumps(warned)) == warned  # what the solving subprocess prints
+    assert same_results.solve_cell(dict(cell, problem="nope")).startswith("error: ")
+    assert same_results.describe_budget_exits(quiet, warned) == [
+        "base budget exits: none", "head budget exits: " + warned["budget_exit"]
+    ]
 
 
 def _git(root, *args):

@@ -343,8 +343,8 @@ def test_coupled_bootstrap_tracks_exact_seeding(name, N):
 
 
 def test_coupled_levels_stop_at_a_fraction_of_the_local_error(caplog):
-    # the quadratic predictor and the max(eps0, 0.01 dt^3) exit end every
-    # level of ex55 k2 N32 before the budget, in 3.3 passes on average
+    # the cubic predictor and the max(eps0, 0.01 dt^3) exit end every
+    # level of ex55 k2 N32 before the budget, in 2.2 passes on average
     config = SolverConfig(k=2, N=32)
     assert _unconverged_warnings(caplog, registry_get("ex55"), config) == []
     stats = solve(registry_get("ex55"), config).picard_stats
@@ -441,7 +441,7 @@ def test_decoupled_level_is_one_pass():
     assert calls == config.N - config.k
     # picard_stats still reports implicit-Y iterations for decoupled problems
     # (counted over the scheme-computed rows; the copy band does not iterate),
-    # started from the quadratic extrapolation of the newest three levels
+    # started from the cubic extrapolation of the newest four levels
     assert result.picard_stats.max_iterations == 7
 
 
@@ -815,6 +815,38 @@ def test_node_count_cap_warns_when_fan_stays_wide(caplog):
     L, warned = _node_count(caplog, EX51, SolverConfig(k=3, N=64))
     assert L < 64
     assert warned == []
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_warm_start_extrapolates_through_the_newest_levels(levels):
+    # history[j] holds the rows of level n + j, here a cubic in t with
+    # coefficients that differ per row and column.  The warm start is the
+    # polynomial of degree levels - 1 through the given levels, evaluated at
+    # t_n: four levels reproduce level n to rounding, and one level returns
+    # the newest rows themselves.
+    problem, config = linear_problem(coupled=True), SolverConfig(k=2, N=8)
+    disc = discretize(problem, config)
+    ws = solver._LevelWorkspace(problem, disc, solver.compute_coeffs(2), config)
+    coeffs = np.random.default_rng(3).normal(size=(4, len(disc.X), 2))
+    dt, n = problem.T / config.N, 2
+
+    def rows(level):
+        return sum(c * (level * dt) ** i for i, c in enumerate(coeffs))
+
+    history = {j: disc.field(n + j, rows(n + j)) for j in range(1, levels + 1)}
+    v_next = history[1].values.reshape(len(disc.X), -1)
+    start = ws._warm_start(history, v_next)
+    times = [(n + j) * dt for j in history]
+    fit = np.polynomial.polynomial.polyfit(times, np.stack([rows(n + j) for j in history])
+                                           .reshape(levels, -1), levels - 1)
+    expected = np.polynomial.polynomial.polyval(n * dt, fit).reshape(start.shape)
+    np.testing.assert_allclose(start, expected, rtol=0, atol=1e-12)
+    if levels == 1:
+        assert start is v_next
+    if levels == 4:
+        np.testing.assert_allclose(start, rows(n), rtol=0, atol=1e-12)
+    else:  # a lower degree misses the cubic's newest term
+        assert np.max(np.abs(start - rows(n))) > 1e-6
 
 
 @pytest.mark.parametrize("name, reads_level_n", [("ex51", True), ("ex52_bs", False)])
@@ -1268,3 +1300,19 @@ def test_rate_exit_cuts_ex55_passes_at_the_old_errors():
     assert result.picard_stats.mean_iterations <= 2.6
     assert result.err_y[0] == pytest.approx(7.12813971306403e-05, rel=5e-3)
     assert result.err_z[0, 0] == pytest.approx(9.388476943077845e-06, rel=5e-3)
+
+
+@pytest.mark.parametrize("name", ["ex54a", "ex54b"])
+def test_cubic_warm_start_ends_k3_n128_levels_before_the_budget(caplog, name):
+    # Under the quadratic start 110 (ex54a) and 123 (ex54b) of the 125 levels
+    # ran the 6-pass budget out; the cubic start ends every one of them
+    config = SolverConfig(k=3, N=128)
+    assert _unconverged_warnings(caplog, registry_get(name), config) == []
+
+
+def test_cubic_warm_start_cuts_ex54a_passes():
+    # The quadratic start took 3.06 passes per level on ex54a k2 N64; the
+    # cubic one takes 2.19 at the same err_y
+    result = solve(registry_get("ex54a"), SolverConfig(k=2, N=64))
+    assert result.picard_stats.mean_iterations <= 2.4
+    assert result.err_y[0] == pytest.approx(1.222779e-4, rel=5e-3)
