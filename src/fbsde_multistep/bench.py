@@ -15,15 +15,14 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .failures import SolverFailure
-from .problems import UnknownProblemError, registry_get, registry_names
-from .solver import ConfigError, SolverConfig, solve
+from .problems import FbsdeProblem, UnknownProblemError, registry_get, registry_names
+from .solver import MAX_PICARD, ConfigError, SolverConfig, solve
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +53,7 @@ SOLVER_OVERRIDES = (
 )
 
 # Options that describe the run rather than the solver.
-RUN_KEYS = ("problem", "k", "N", "format", "out", "parallel_cells")
+RUN_KEYS = ("problem", "k", "N", "format", "out")
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,6 @@ class RunSpec:
     terminal_mode: Optional[str] = None
     out: Optional[str] = None
     fmt: str = "csv"
-    parallel_cells: bool = False
 
     def __post_init__(self):
         if not self.ks or not self.Ns:
@@ -111,7 +109,6 @@ class ConvergenceReport:
     # (k, component) -> (cr_y, cr_z); populated when >= 3 clean cells exist
     rates: dict = field(default_factory=dict)
     rate_omissions: list[str] = field(default_factory=list)
-    contended_runtimes: bool = False
 
     @property
     def any_diverged(self) -> bool:
@@ -135,16 +132,15 @@ def fit_rate(errors) -> float:
     return float(slope)
 
 
-def _run_cell(problem_name: str, k: int, N: int, spec: RunSpec) -> CellResult:
-    problem = registry_get(problem_name)
+def _run_cell(problem: FbsdeProblem, k: int, N: int, spec: RunSpec) -> CellResult:
     config = spec.solver_config(k, N)
     started = time.perf_counter()
     try:
         result = solve(problem, config)
     except SolverFailure as exc:
-        logger.warning("%s k=%d N=%d diverged: %s", problem_name, k, N, exc)
+        logger.warning("%s k=%d N=%d diverged: %s", problem.name, k, N, exc)
         result = None
-        runtime, picard_max = time.perf_counter() - started, config.max_picard
+        runtime, picard_max = time.perf_counter() - started, MAX_PICARD
     else:
         runtime, picard_max = result.runtime, result.picard_stats.max_iterations
     if result is None or (result.err_y is not None and not np.all(np.isfinite(result.err_y))):
@@ -156,17 +152,12 @@ def _run_cell(problem_name: str, k: int, N: int, spec: RunSpec) -> CellResult:
 
 
 def run(spec: RunSpec) -> ConvergenceReport:
-    """Execute every (k, N) cell, fit rates, and emit the table if requested."""
+    """Solve every (k, N) cell in turn, fit rates, and emit the table if requested."""
     problem = registry_get(spec.problem)  # fail fast on unknown names
     report = ConvergenceReport(problem=spec.problem, components=problem.p)
-    cells = [(k, N) for k in sorted(spec.ks) for N in sorted(spec.Ns)]
-    if spec.parallel_cells and len(cells) > 1:
-        report.contended_runtimes = True
-        with ProcessPoolExecutor() as pool:
-            futures = [pool.submit(_run_cell, spec.problem, k, N, spec) for k, N in cells]
-            report.cells = [f.result() for f in futures]
-    else:
-        report.cells = [_run_cell(spec.problem, k, N, spec) for k, N in cells]
+    report.cells = [
+        _run_cell(problem, k, N, spec) for k in sorted(spec.ks) for N in sorted(spec.Ns)
+    ]
 
     for k in sorted(spec.ks):
         clean = [c for c in report.cells if c.k == k and not c.diverged]
@@ -212,8 +203,6 @@ def render_csv(report: ConvergenceReport) -> str:
             )
     for (k, comp), (cr_y, cr_z) in sorted(report.rates.items()):
         lines.append(f"{report.problem},{k},CR,{comp + 1},{_fmt(cr_y)},{_fmt(cr_z)},,")
-    if report.contended_runtimes:
-        lines.append("# runtimes contended: cells ran in parallel")
     return "\n".join(lines) + "\n"
 
 
@@ -240,8 +229,6 @@ def render_markdown(report: ConvergenceReport) -> str:
             lines.append(f"| {k} | {comp + 1} | {cr_y:.3f} | {cr_z:.3f} |")
     for reason in report.rate_omissions:
         lines.append(f"\nrate omitted: {reason}")
-    if report.contended_runtimes:
-        lines.append("\nruntimes contended: cells ran in parallel")
     return "\n".join(lines) + "\n"
 
 
@@ -280,9 +267,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected a list of integers, got {text!r}") from None
 
 
-_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; config errors are 1
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
@@ -302,8 +286,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--format", choices=["csv", "markdown"])
     parser.add_argument("--out", help="output path (written atomically)")
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--parallel-cells", action="store_true", default=None,
-                        help="run (k,N) cells in a process pool; runtimes contended")
     return parser
 
 
@@ -323,12 +305,6 @@ def spec_from_options(options: dict) -> RunSpec:
     missing = [key for key in ("problem", "k", "N") if key not in options]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join(missing)}")
-    parallel = options.get("parallel_cells", False)
-    if isinstance(parallel, str):
-        try:
-            parallel = _BOOL[parallel.lower()]
-        except KeyError:
-            raise ConfigError(f"bad boolean {parallel!r} for parallel_cells") from None
     try:
         overrides = {row.field: row.parse(options[row.key])
                      for row in SOLVER_OVERRIDES if row.key in options}
@@ -338,7 +314,6 @@ def spec_from_options(options: dict) -> RunSpec:
             Ns=_parse_int_list(options["N"]),
             out=options.get("out"),
             fmt=options.get("format", "csv"),
-            parallel_cells=bool(parallel),
             **overrides,
         )
     except (TypeError, ValueError) as exc:

@@ -67,6 +67,8 @@ MAX_PLAN_ENTRIES = 1 << 18
 # call of a level pass may hold; larger passes go in row blocks, so memory
 # stays flat in the window's size and in L^d.
 EXPECT_BLOCK_VALUES = 1 << 16
+# Iteration cap of the implicit-Y Picard loop and of the terminal Z fixed point.
+MAX_PICARD = 100
 
 # Warm-start weights of the level step, by the number of history levels
 # given: the degree 0, 1, 2 and 3 extrapolations in time through the newest
@@ -110,7 +112,6 @@ class SolverConfig:
     r: Optional[int] = None
     h: Optional[float] = None
     eps0: float = 1e-11
-    max_picard: int = 100
     # Budget for the coupled outer loop.  A level exits early once its
     # residual falls below max(eps0, OUTER_TOL_FRACTION * dt^(k+1)), a
     # fraction of the scheme's local error, or once its contraction rate
@@ -135,8 +136,6 @@ class SolverConfig:
             raise ConfigError(f"grid spacing must be positive, got {self.h}")
         if self.eps0 <= 0:
             raise ConfigError(f"Picard tolerance must be positive, got {self.eps0}")
-        if self.max_picard < 1:
-            raise ConfigError(f"max_picard must be >= 1, got {self.max_picard}")
         if self.max_outer < 1:
             raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.terminal_mode not in ("exact", "bootstrap"):
@@ -233,7 +232,7 @@ def _pack(problem, Y, Z) -> np.ndarray:
     return np.concatenate([np.reshape(Y, (n, p)), np.reshape(Z, (n, p * problem.d))], 1)
 
 
-def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float, cap: int):
+def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float):
     """Terminal-level (Y, Z) used both for seeding and coefficient probing."""
     Y = np.asarray(problem.phi(X), dtype=float)
     _require_finite([Y], X, "phi at t = T")
@@ -242,7 +241,7 @@ def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float, cap: i
         _require_finite([grad], X, "grad_phi at t = T")
         # sigma may read z: resolve Z = grad_phi . sigma(T, x, phi, Z) by fixed point
         Z = np.zeros((X.shape[0], problem.p, problem.d))
-        for _ in range(cap):
+        for _ in range(MAX_PICARD):
             sig = np.asarray(problem.sigma(problem.T, X, Y, Z), dtype=float)
             _require_finite([sig], X, "sigma at t = T")
             Z_new = np.einsum("npq,nqd->npd", grad, sig)
@@ -358,14 +357,14 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
 
     a_max = hermite_rule(config.L).max_abs_node  # the configured rule's tail
     x0 = problem.x0[None, :]
-    y0, z0 = _terminal_yz_probe(problem, x0, config.eps0, config.max_picard)
+    y0, z0 = _terminal_yz_probe(problem, x0, config.eps0)
     half = envelope(*row_bounds(x0, y0, z0), a_max) + 1e-8
     grids = [
         problem.x0[dim] + np.linspace(-half[dim], half[dim], 17) for dim in range(problem.q)
     ]
     mesh = np.meshgrid(*grids, indexing="ij")
     X = np.stack([m.ravel() for m in mesh], axis=-1)
-    Y, Z = _terminal_yz_probe(problem, X, config.eps0, config.max_picard)
+    Y, Z = _terminal_yz_probe(problem, X, config.eps0)
     b_raw, s_raw = row_bounds(X, Y, Z)
     b_bound, s_bound = BOUND_INFLATION * b_raw, BOUND_INFLATION * s_raw
     tail = envelope(b_bound, s_bound, a_max)
@@ -507,7 +506,6 @@ class _LevelWorkspace:
         self.coeffs = coeffs
         self.k = coeffs.k
         self.eps0 = config.eps0
-        self.max_picard = config.max_picard
         self.max_outer = config.max_outer if problem.coupled else 1
         self.band_exact = band_exact
         self.picard_counts: list[int] = []
@@ -649,7 +647,7 @@ class _LevelWorkspace:
         """Resolve the implicit Y relation by plain fixed-point iteration."""
         y = y_start
         diff = None
-        for it in range(self.max_picard):
+        for it in range(MAX_PICARD):
             y_new = (rhs - np.asarray(self.problem.f(t_n, X, y, Z))) / alpha0
             _require_finite([y_new], X, "implicit Y iterate", level)
             diff = np.abs(y_new - y)
@@ -852,7 +850,7 @@ def init_terminal(problem, config, disc):
         raise ConfigError("terminal_mode='bootstrap' requires grad_phi on the problem")
 
     X = disc.X
-    Y, Z = _terminal_yz_probe(problem, X, config.eps0, config.max_picard)
+    Y, Z = _terminal_yz_probe(problem, X, config.eps0)
     fields = {N: disc.field(N, _pack(problem, Y, Z))}
     if config.terminal_mode == "bootstrap":
         seeds, chain = _bootstrap_chain(problem, config, disc, fields[N])

@@ -128,12 +128,12 @@ def test_diverged_cell_marks_and_continues(tmp_path, monkeypatch):
     # Force divergence via an impossible iteration budget on a coupled run.
     from fbsde_multistep import bench
 
-    def failing_cell(problem_name, k, N, spec):
+    def failing_cell(problem, k, N, spec):
         if N == 12:
             from fbsde_multistep.bench import CellResult
             return CellResult(k=k, N=N, err_y=None, err_z=None, runtime=0.1,
                               picard_max=100, diverged=True)
-        return original(problem_name, k, N, spec)
+        return original(problem, k, N, spec)
 
     original = bench._run_cell
     monkeypatch.setattr(bench, "_run_cell", failing_cell)
@@ -218,7 +218,6 @@ def test_config_file_parsing(tmp_path):
         "k = 1,2\n"
         "N = 8, 16\n"
         "gh-points = 6   # sparse quadrature\n"
-        "parallel_cells = false\n"
     )
     options = parse_config_file(str(cfg))
     assert options["problem"] == "ex51"
@@ -234,6 +233,9 @@ def test_config_file_rejects_garbage(tmp_path):
     cfg.write_text("problem ex51\n")
     with pytest.raises(ConfigError):
         parse_config_file(str(cfg))
+    cfg.write_text("problem = ex51\nk = 1, two\nN = 8\n")
+    with pytest.raises(ConfigError, match="list of integers"):
+        spec_from_options(parse_config_file(str(cfg)))
 
 
 def test_cli_overrides_config(tmp_path):
@@ -259,11 +261,22 @@ def test_cli_missing_required_exits_one(capsys):
 
 
 def test_cli_bad_flag_exits_one():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fbsde_multistep.bench", "--no-such-flag"],
-        capture_output=True,
+    for flag in ("--no-such-flag", "--parallel-cells"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fbsde_multistep.bench", flag],
+            capture_output=True,
+        )
+        assert proc.returncode == EXIT_CONFIG, flag
+        assert flag in proc.stderr.decode(), flag
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys, fbsde_multistep; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
     )
-    assert proc.returncode == EXIT_CONFIG
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_diverged_exit_code(monkeypatch):
@@ -280,20 +293,38 @@ def test_cli_diverged_exit_code(monkeypatch):
     assert bench.main(["--problem", "ex51", "--k", "1", "--N", "8"]) == EXIT_DIVERGED
 
 
-def test_parallel_cells_match_sequential(tmp_path):
-    base = run(RunSpec(problem="ex51", ks=(1,), Ns=(8, 16)))
-    par = run(RunSpec(problem="ex51", ks=(1,), Ns=(8, 16), parallel_cells=True))
-    assert par.contended_runtimes
-    for cell_a, cell_b in zip(base.cells, par.cells):
-        assert cell_a.err_y[0] == cell_b.err_y[0]
-        assert cell_a.err_z[0] == cell_b.err_z[0]
+def test_atomic_write_leaves_no_temp_files(tmp_path, monkeypatch):
+    from fbsde_multistep import bench
 
-
-def test_atomic_write_leaves_no_temp_files(tmp_path):
     out = tmp_path / "t.csv"
     run(RunSpec(problem="ex51", ks=(1,), Ns=(8, 16), out=str(out)))
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+    # a write that fails removes its temp file and leaves the old table
+    text = out.read_text()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(bench.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        bench._atomic_write(str(out), "new table\n")
+    assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+    assert out.read_text() == text
+
+
+def test_nonpositive_errors_omit_the_rate(monkeypatch):
+    from fbsde_multistep import bench
+    from fbsde_multistep.bench import CellResult
+
+    def exact_cell(problem, k, N, spec):
+        zero = np.zeros(problem.p)
+        return CellResult(k=k, N=N, err_y=zero, err_z=zero, runtime=0.0, picard_max=1)
+
+    monkeypatch.setattr(bench, "_run_cell", exact_cell)
+    report = bench.run(RunSpec(problem="ex51", ks=(1,), Ns=(8, 12, 16)))
+    assert report.rates == {}
+    assert report.rate_omissions == ["k=1 component 1: errors unavailable or nonpositive"]
 
 
 def test_render_csv_header_is_exact():
@@ -305,11 +336,13 @@ def test_render_csv_header_is_exact():
 
 def test_cli_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
-    cfg.write_text("problem = ex51\nk = 1\nN = 8,16\ngh_point = 3\ntolerance = 1e-3\n")
+    cfg.write_text("problem = ex51\nk = 1\nN = 8,16\ngh_point = 3\ntolerance = 1e-3\n"
+                   "parallel_cells = true\n")
     assert main(["--config", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "gh_point" in err
     assert "tolerance" in err
+    assert "parallel_cells" in err
 
 
 def test_override_cases_cover_every_table_row():

@@ -91,8 +91,15 @@ def test_config_validation():
         SolverConfig(k=3, N=3)
     with pytest.raises(ConfigError):
         SolverConfig(k=1, N=16, L=0)
+    with pytest.raises(ConfigError, match="interpolation degree"):
+        SolverConfig(k=1, N=16, r=0)
+    for h in (0.0, -0.1):
+        with pytest.raises(ConfigError, match="grid spacing"):
+            SolverConfig(k=1, N=16, h=h)
     with pytest.raises(ConfigError):
         SolverConfig(k=1, N=16, eps0=0.0)
+    with pytest.raises(ConfigError, match="max_outer"):
+        SolverConfig(k=1, N=16, max_outer=0)
     with pytest.raises(ConfigError):
         SolverConfig(k=1, N=16, terminal_mode="magic")
 
@@ -255,7 +262,7 @@ def _terminal_probe_sigma_calls(problem):
     counted = dataclasses.replace(problem, sigma=sigma)
     calls.clear()  # drop the decoupled-flag probes made by the record itself
     X = problem.x0[None, :] + np.linspace(-0.3, 0.3, 7)[:, None]
-    _, Z = solver._terminal_yz_probe(counted, X, 1e-11, 100)
+    _, Z = solver._terminal_yz_probe(counted, X, 1e-11)
     return len(calls), Z
 
 
@@ -309,6 +316,10 @@ def test_bootstrap_requires_grad_phi():
     )
     with pytest.raises(ConfigError, match="grad_phi"):
         solve(stripped, SolverConfig(k=2, N=8, terminal_mode="bootstrap"))
+    # without exact_z either, no mode can form the terminal Z level
+    no_z = dataclasses.replace(stripped, exact_z=None)
+    with pytest.raises(ConfigError, match="neither grad_phi nor exact_z"):
+        solve(no_z, SolverConfig(k=2, N=8))
 
 
 def test_bootstrap_close_to_exact_seeding():
@@ -404,7 +415,10 @@ def test_worker_env_var_validation():
     old = os.environ.get(WORKERS_ENV_VAR)
     try:
         os.environ[WORKERS_ENV_VAR] = "zero"
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            solve(EX51, SolverConfig(k=1, N=8))
+        os.environ[WORKERS_ENV_VAR] = "0"
+        with pytest.raises(ConfigError, match="must be >= 1"):
             solve(EX51, SolverConfig(k=1, N=8))
     finally:
         if old is None:
@@ -710,6 +724,27 @@ def test_non_finite_f_fails_fast():
     np.testing.assert_array_equal(info.value.point, calls[-1])
 
 
+def test_implicit_y_iteration_stuck_raises_at_its_level_and_point(monkeypatch):
+    # f makes the Picard map y -> rhs/alpha0 + 2y (4y at x0): every iterate
+    # stays finite and the steps keep doubling, so the cap ends the loop,
+    # and x0's steps, which grow fastest, are the worst
+    monkeypatch.setattr(solver, "MAX_PICARD", 12)
+    config = SolverConfig(k=1, N=8)
+    alpha0 = solver.compute_coeffs(1).alphas(EX51.T / config.N)[0]
+    calls = []
+
+    def f(t, X, Y, Z):
+        calls.append(t)
+        gain = np.where(X == EX51.x0, 4.0, 2.0)
+        return -alpha0 * gain * Y
+
+    with pytest.raises(PicardDivergenceError, match="implicit Y iteration stuck at level 6") as info:
+        solve(dataclasses.replace(EX51, f=f), config)
+    assert len(calls) == 12
+    assert info.value.level == config.N - config.k - 1
+    np.testing.assert_array_equal(info.value.point, EX51.x0)
+
+
 def _poisoned(problem, callback, when, cut=2.0):
     """``problem`` whose ``callback`` is NaN at x > cut whenever ``when(t)`` holds.
 
@@ -891,13 +926,14 @@ def test_degree_choice_is_recorded():
     assert disc.r == within[0] == 8
     # a kinked terminal function, q = 2 and a given h keep the brackets;
     # a given r is used as it is
-    for problem, config in [
-        (registry_get("ex52_bs"), SolverConfig(k=3, N=64)),
-        (registry_get("ex53_2d"), SolverConfig(k=3, N=16)),
-        (EX51, SolverConfig(k=3, N=64, h=0.2)),
+    for problem, config, bracket in [
+        (registry_get("ex52_bs"), SolverConfig(k=3, N=64), 6),
+        (registry_get("ex52_bs"), SolverConfig(k=4, N=64), 10),
+        (registry_get("ex53_2d"), SolverConfig(k=3, N=16), 6),
+        (EX51, SolverConfig(k=3, N=64, h=0.2), 6),
     ]:
         disc = discretize(problem, config)
-        assert [r for r, _ in disc.degree_work] == [disc.r] == [6]
+        assert [r for r, _ in disc.degree_work] == [disc.r] == [bracket]
     assert discretize(EX51, SolverConfig(k=3, N=64, r=10)).degree_work[0][0] == 10
 
 
@@ -1198,13 +1234,14 @@ def test_two_noise_dimensions_at_64_nodes_keep_memory_flat(monkeypatch):
     np.testing.assert_array_equal(result.z0, reference.z0)
 
 
-def _scripted_level(monkeypatch, offsets):
+def _scripted_level(monkeypatch, offsets, profile=lambda X: 1.0):
     """One coupled level with pass m's Y image moved by offsets[m], iterated plainly (v = g).
 
     The level is the top sweep level of the coupled-flagged linear problem
     at k = 2, N = 8, from exact seeds: every pass has the same exact image
     and the warm start is exact, so pass 0's residual is offsets[0] and pass
-    m's |offsets[m] - offsets[m-1]|.  Returns the workspace and the config.
+    m's |offsets[m] - offsets[m-1]|; each safe row's move is scaled by
+    ``profile`` of its point.  Returns the workspace and the config.
     """
     passes = []
     implicit_y = solver._LevelWorkspace._implicit_y
@@ -1212,7 +1249,7 @@ def _scripted_level(monkeypatch, offsets):
     def scripted(self, *args):
         y, iters = implicit_y(self, *args)
         passes.append(len(passes))
-        return y + offsets[passes[-1]], iters
+        return y + offsets[passes[-1]] * profile(args[1]), iters
 
     monkeypatch.setattr(solver._LevelWorkspace, "_implicit_y", scripted)
     monkeypatch.setattr(solver._BroydenState, "step", lambda self, v, g: g.copy())
@@ -1252,6 +1289,21 @@ def test_contracting_level_takes_the_rate_exit(monkeypatch):
     ws, _ = _scripted_level(monkeypatch, [8 * c, 8.05 * c, 8.05 * c])
     assert ws.picard_counts == [2]
     assert ws.unconverged == []
+
+
+def test_level_whose_residual_grows_raises_at_its_worst_row(monkeypatch):
+    # residuals c, 2c, 4c, 8c, 16c, 32c (twice that at x0): the rate is 2
+    # every pass, so the level runs its budget out and ends above its first
+    # residual, a divergence located at the worst Y row
+    c = 1e-3
+    x0 = linear_problem().x0
+    with pytest.raises(PicardDivergenceError) as info:
+        _scripted_level(monkeypatch, [c, 3 * c, 7 * c, 15 * c, 31 * c, 63 * c],
+                        profile=lambda X: np.where(X == x0, 2.0, 1.0))
+    level = 5  # the top sweep level at k = 2, N = 8
+    assert str(info.value) == f"coupled Picard iteration stuck at level {level}, point {x0}"
+    assert info.value.level == level
+    np.testing.assert_array_equal(info.value.point, x0)
 
 
 def test_rate_exit_returns_the_broyden_iterate_with_band_rows_pinned(monkeypatch):
