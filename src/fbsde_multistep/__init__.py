@@ -6,7 +6,6 @@ conditional expectations are Gauss-Hermite sums and grid fields are read
 through local Lagrange interpolation.  See README.md for the layout.
 """
 
-from .bench import ConvergenceReport, RunSpec, fit_rate, run
 from .failures import SolverFailure
 from .multistep import (
     MultistepCoeffs,
@@ -94,3 +93,16 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The study driver loads on first use: ``python -m fbsde_multistep.bench``
+# runs that module as __main__, which an eager import here would have
+# loaded a second time.
+_BENCH_NAMES = ("ConvergenceReport", "RunSpec", "fit_rate", "run")
+
+
+def __getattr__(name):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

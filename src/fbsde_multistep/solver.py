@@ -163,7 +163,10 @@ class Discretization:
     ``fan_work`` is the predicted stencil entries of one (level, j)
     expectation over the window, n * L^d * (r+1)^q, and ``degree_work`` the
     (r, fan_work) pairs of every degree the policy weighed, the chosen one
-    among them.
+    among them.  ``b_bound`` and ``s_bound`` are the inflated per-axis
+    bounds of |b| and of sigma's L1 row norm that size the window and the
+    live boxes, and ``first_live`` the first sweep level at which each
+    window point is live (see :func:`_first_live_levels`).
     """
 
     h: float
@@ -177,6 +180,9 @@ class Discretization:
     p: int
     fan_work: int
     degree_work: tuple[tuple[int, int], ...]
+    b_bound: np.ndarray
+    s_bound: np.ndarray
+    first_live: np.ndarray
 
     def field(self, level, rows) -> ValueField:
         """Freeze per-point rows [y | z] (the step's image, as it is) as one level's field."""
@@ -287,6 +293,30 @@ def _fan_reach(b_bound, s_bound, k, dt, max_node):
     return b_bound * (k * dt) + s_bound * (math.sqrt(2.0 * k * dt) * max_node)
 
 
+def _cone_cells(b_bound, s_bound, dt, max_node, h, r):
+    """Per-axis growth of the live box per sweep level, (rho + s) / h cells (see :func:`discretize`)."""
+    return _fan_reach(b_bound, s_bound, 1, dt, max_node) / h + (r + 1) / 2
+
+
+def _window_offsets(window: ActiveWindow) -> np.ndarray:
+    """Each window point's integer offset from the grid origin x0, (n, q), C-ordered like grid_points."""
+    return np.indices(window.extents).reshape(len(window.extents), -1).T + window.lo
+
+
+def _first_live_levels(window: ActiveWindow, r: int, cone: np.ndarray) -> np.ndarray:
+    """The first sweep level at which each window point is live.
+
+    A point m cells from x0 per axis is live at level n when -R(n) <= m <
+    R(n) on every axis, R(n) = s + n * cone cells, s = (r+1)/2.  The box is
+    half-open as a stencil is (a read at u spans [u - s, u + s)), so level 0
+    is live exactly on x0's stencil, odd r included.
+    """
+    s = (r + 1) / 2
+    m = _window_offsets(window)
+    levels = np.where(m >= 0, np.floor((m - s) / cone) + 1, np.ceil((-m - s) / cone))
+    return np.maximum(levels.max(axis=1), 0).astype(np.int64)
+
+
 def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
     """Resolve the grid spacing, degree, node rule and static window of a solve.
 
@@ -330,6 +360,14 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
     * Predicted work: ``fan_work`` = n * L^d * (r+1)^q, the stencil entries
       of one (level, j) expectation over all n window points; ``degree_work``
       lists it for every degree weighed.
+    * Live levels: the scheme's exact domain of dependence.  The answer
+      reads x0's stencil at level 0, and level n reads the k levels above
+      it through fans of reach at most j * rho plus an (r+1)-point stencil,
+      so level n needs only the points within R(n) = s + n * (rho + s) of
+      x0 on every axis (Strikwerda, *Finite Difference Schemes and PDEs*,
+      ch. 1).  rho = B_b*dt + B_s*sqrt(2 dt)*rule.max_abs_node is the
+      one-step reach under the inflated bounds and s = (r+1)*h/2;
+      ``first_live`` holds each point's first such level.
 
     The balancing rule assumes a smooth solution.  A kink in phi
     (``problem.smooth_terminal`` False) is smoothed by the forward diffusion
@@ -422,11 +460,13 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
         )
     spec = GridSpec(q=problem.q, h=h, origin=problem.x0)
     window = ActiveWindow(lo=-cells, hi=cells)
+    rule = hermite_rule(L)
+    cone = _cone_cells(b_bound, s_bound, dt, rule.max_abs_node, h, r)
     return Discretization(
         h=h,
         r=r,
         spec=spec,
-        rule=hermite_rule(L),
+        rule=rule,
         window=window,
         X=grid_points(spec, window),
         lo=spec.origin + spec.h * window.lo,
@@ -434,6 +474,9 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
         p=problem.p,
         fan_work=work,
         degree_work=tuple((row.r, row.work) for row in scan),
+        b_bound=b_bound,
+        s_bound=s_bound,
+        first_live=_first_live_levels(window, r, cone),
     )
 
 
@@ -489,6 +532,28 @@ class _BroydenState:
         return v - step * factor[:, None]
 
 
+def _contraction_rate(deltas):
+    """(rate, passes it spans) of a level's residuals: the geometric mean over the last three.
+
+    A level cycling with period 3 reads 1 wherever the budget cuts it, where
+    the last ratio alone can read well below or above 1.
+    """
+    span = min(3, len(deltas) - 1)
+    if span == 0:
+        return None, 0
+    return (deltas[-1] / deltas[-1 - span]) ** (1.0 / span), span
+
+
+class _Cone(NamedTuple):
+    """The live boxes of a sweep, in cells (see :func:`_first_live_levels`)."""
+
+    offsets: np.ndarray  # |offset| of each window point from x0, (n, q)
+    cells: np.ndarray  # growth of the box per level, per axis
+    top: int  # the top sweep level; the seed levels above it are read in full
+    full: int  # the first level at which every window point is live
+    hull: int  # the first level at which the hull mask implies the box check
+
+
 class _LevelWorkspace:
     """The discretization, the multistep weights and the counters of one sweep.
 
@@ -496,11 +561,17 @@ class _LevelWorkspace:
     (n, p + p*d) row arrays [y | z], the layout of the Broyden accelerator
     and of every stored field, whose rows the step reads as views.  It also
     remembers the latest pass's forward coefficients (dt, b_n, sigma_n) with
-    their safe mask and, once a pass repeats them, the interpolation plan of
-    each j's quadrature fan over each row block (see :meth:`step`).
+    their hull mask and, once a pass repeats them on the same rows, the
+    interpolation plan of each j's quadrature fan over each row block of
+    those rows (see :meth:`step`).
+
+    With ``cone`` (the main sweep, whose levels n = N-k-1 .. 0 read seed
+    levels above N-k-1 in full) level n runs only on its live rows,
+    ``disc.first_live <= n``; ``escaped`` counts the live rows that left the
+    scheme because a fan passed the live box of a level it reads.
     """
 
-    def __init__(self, problem, disc, coeffs, config, band_exact=False):
+    def __init__(self, problem, disc, coeffs, config, band_exact=False, cone=False):
         self.problem = problem
         self.disc = disc
         self.coeffs = coeffs
@@ -509,12 +580,27 @@ class _LevelWorkspace:
         self.max_outer = config.max_outer if problem.coupled else 1
         self.band_exact = band_exact
         self.picard_counts: list[int] = []
-        # (residual, tolerance, last contraction rate or None) of each level
-        # whose outer budget ran out
-        self.unconverged: list[tuple[float, float, Optional[float]]] = []
+        # (residual, tolerance, contraction rate or None, passes it spans) of
+        # each level whose outer budget ran out
+        self.unconverged: list[tuple[float, float, Optional[float], int]] = []
+        self.escaped = 0
+        self._cone = None
+        if cone:
+            cells = _cone_cells(
+                disc.b_bound, disc.s_bound, problem.T / config.N,
+                disc.rule.max_abs_node, disc.spec.h, disc.r,
+            )
+            # From level ceil(W / cells) - 1 on, level n+1's box holds the
+            # window, W cells per side: a fan the hull keeps stays in it.
+            hull_level = int(np.max(np.ceil(disc.window.hi / cells))) - 1
+            self._cone = _Cone(
+                np.abs(_window_offsets(disc.window)), cells,
+                config.N - self.k - 1, int(disc.first_live.max()), hull_level,
+            )
         self._broyden = None
         self._coeff_key = None  # (dt, b_n, sigma_n) of the latest pass
-        self._mask = None  # its safe mask
+        self._hull = None  # its hull mask
+        self._rows = None  # the stored plans' rows, or the latest streaming pass's
         self._plans = None  # (j, first row of the block) -> plan of that fan block
 
     def _warm_start(self, history, v_next):
@@ -532,19 +618,33 @@ class _LevelWorkspace:
             v += w * history[j].values.reshape(v.shape)
         return v
 
-    def _band_values(self, level, t_n, unsafe, v_next):
-        """Far-field rows [y | z] for the edge band, shape (unsafe count, p + p*d).
+    def _live_rows(self, level):
+        """The rows live at ``level``, or None when every row is."""
+        if self._cone is None or level >= self._cone.full:
+            return None
+        return self.disc.first_live <= level
 
-        With exact seeding the band tracks the exact solution, acting as an
-        artificial boundary condition consistent with the interior to scheme
-        accuracy; otherwise it transports the previous level's rows
-        ``v_next``, which is non-amplifying but goes stale for long horizons.
+    def _band_values(self, level, t_n, unsafe, v_next):
+        """Rows [y | z] the rows off the scheme are pinned to, shape (unsafe count, p + p*d).
+
+        Dead rows keep the previous level's rows ``v_next``: no live row
+        reads them.  On the live far-field band, exact seeding tracks the
+        exact solution, an artificial boundary condition consistent with the
+        interior to scheme accuracy; otherwise the band transports
+        ``v_next`` too, which is non-amplifying but goes stale for long
+        horizons.
         """
         if not self.band_exact:
             return v_next[unsafe]
-        problem, Xb = self.problem, self.disc.X[unsafe]
-        rows = _pack(problem, problem.exact_y(t_n, Xb), problem.exact_z(t_n, Xb))
-        _require_finite([rows], Xb, "exact_y or exact_z in the far-field band", level)
+        live = self._live_rows(level)
+        band = unsafe if live is None else unsafe & live
+        problem, Xb = self.problem, self.disc.X[band]
+        exact = _pack(problem, problem.exact_y(t_n, Xb), problem.exact_z(t_n, Xb))
+        _require_finite([exact], Xb, "exact_y or exact_z in the far-field band", level)
+        if live is None:
+            return exact
+        rows = v_next[unsafe]
+        rows[band[unsafe]] = exact
         return rows
 
     def _safe_mask(self, dt, b_n, sig_n):
@@ -574,23 +674,48 @@ class _LevelWorkspace:
             )
         return safe
 
-    def _pass_plans(self, repeated, safe):
-        """The plan store for a pass, or None when the pass streams.
+    def _box_mask(self, level, dt, b_n, sig_n):
+        """Rows whose fans, widened by the stencil half-width, stay in the live box of every sweep level they read.
 
-        A pass streams unless it repeats the previous pass's coefficients
-        and runs on exactly their safe rows (a coupled level may have
-        narrowed them on an earlier pass); the store is only started when
-        the plans of all k fans fit in MAX_PLAN_ENTRIES.
+        Fan j of a row m cells from x0 stays in level n+j's box when |m| +
+        reach_j / h <= (n+j) * cells on every axis, cells the box's growth
+        per level (see :func:`_first_live_levels`); seed levels above the
+        top sweep level are read in full.  It returns None where every hull-safe live row
+        passes: on a level whose boxes above hold the whole window, and
+        where |b| and sigma's row norm stay within the record's bounds.
         """
-        if not repeated or not np.array_equal(safe, self._mask):
+        if level >= self._cone.hull:
             return None
-        if self._plans is None:
-            disc = self.disc
-            fans = int(np.count_nonzero(safe)) * disc.rule.L**self.problem.d
-            if self.k * plan_nbytes(fans, self.problem.q, disc.r) > 16 * MAX_PLAN_ENTRIES:
-                return None
-            self._plans = {}
-        return self._plans
+        disc, (offsets, cells, top, _, _) = self.disc, self._cone
+        b_abs, s_abs = np.abs(b_n), np.abs(sig_n).sum(axis=2)
+        if np.all(b_abs <= disc.b_bound) and np.all(s_abs <= disc.s_bound):
+            return None
+        j = np.arange(1, min(self.k, top - level) + 1)[:, None, None]
+        reach = b_abs * (j * dt) + s_abs * (np.sqrt(2.0 * j * dt) * disc.rule.max_abs_node)
+        return np.all(offsets + reach / disc.spec.h <= (level + j) * cells, axis=(0, 2))
+
+    def _pass_plans(self, repeated, safe):
+        """The plan store for a pass and the rows it reads, or (None, safe) when the pass streams.
+
+        A repeated pass whose rows lie within the store's (a low level's live
+        rows, or a coupled level's narrowed ones) reads the store over the
+        store's rows and keeps its own: applying a plan costs about a
+        quarter of streaming.  Any other pass streams and drops the store; a
+        repeated pass on exactly the previous pass's rows starts a new one
+        when the plans of all k fans fit in MAX_PLAN_ENTRIES.
+        """
+        rows = self._rows
+        if repeated and self._plans is not None and (safe is rows or not np.any(safe & ~rows)):
+            return self._plans, rows
+        self._rows, self._plans = safe, None
+        if not repeated or not (safe is rows or np.array_equal(safe, rows)):
+            return None, safe
+        disc = self.disc
+        fans = int(np.count_nonzero(safe)) * disc.rule.L**self.problem.d
+        if self.k * plan_nbytes(fans, self.problem.q, disc.r) > 16 * MAX_PLAN_ENTRIES:
+            return None, safe
+        self._plans = {}
+        return self._plans, safe
 
     def _expectations(self, dt, X, b_n, sig_n, history, plans):
         """E[Y^{n+j}] and E[Y^{n+j} dW^T] for j = 1..k via Gauss-Hermite.
@@ -687,17 +812,25 @@ class _LevelWorkspace:
         eps0, also starts closer.  The iterate v and its image g are
         [y | z] rows; b, sigma and f read Y and Z as views of them.
 
+        The scheme runs on the safe rows: the live rows whose fans stay
+        inside the hull and, under ``cone``, inside the live box of every
+        sweep level they read.  Live rows off the scheme take band values,
+        and a row whose fan passed a live box counts in ``escaped``.  Dead
+        rows keep ``v_next``; they are pinned in the iterate from the first
+        pass, so they never enter the residual, theta or Broyden.
+
         A pass whose (dt, b_n, sigma_n) equal in value those of the
         workspace's previous pass (a level of a problem whose forward
         coefficients do not depend on t, or a repeated outer iterate) reuses
-        that pass's safe mask: equal values give the same fans, and NaN never
-        repeats.  If it also runs on exactly those safe rows and the k plans
-        fit in MAX_PLAN_ENTRIES, it reads each fan's row block through a
-        stored interpolation plan, built on the first such pass and applied
-        on every later one.  Any other pass streams its fans; a pass with new
-        coefficients drops the stored plans and raises PicardDivergenceError
-        at the first point where they are not finite.  Every value is
-        bitwise the same either way.
+        that pass's hull mask: equal values give the same fans, and NaN never
+        repeats.  If it also runs on exactly the previous pass's rows and the
+        k plans fit in MAX_PLAN_ENTRIES, it reads each fan's row block
+        through a stored interpolation plan, built on the first such pass and
+        applied on every later one whose rows lie within those rows (see
+        :meth:`_pass_plans`).  Any other pass streams its fans and drops the
+        stored plans; a pass with new coefficients raises
+        PicardDivergenceError at the first point where they are not finite.
+        Every value is bitwise the same either way.
         """
         problem, X = self.problem, self.disc.X
         n, p, d = X.shape[0], problem.p, problem.d
@@ -706,28 +839,35 @@ class _LevelWorkspace:
         # the cubic extrapolation in time beats the plain warm start by three
         # orders in dt.
         v = self._warm_start(history, v_next)
+        live = self._live_rows(level)
+        if live is not None and v is not v_next:
+            np.copyto(v, v_next, where=~live[:, None])
         tol = max(self.eps0, OUTER_TOL_FRACTION * dt ** (self.k + 1))
         alpha = self.coeffs.alphas(dt)
         if self._broyden is not None:
             self._broyden.new_level()
         safe = None
-        first_delta = last_delta = None
+        deltas = []
         g = np.empty_like(v)
         for outer in range(self.max_outer):
             y_cur, z_cur = v[:, :p], v[:, p:].reshape(n, p, d)
             b_n = np.asarray(problem.b(t_n, X, y_cur, z_cur), dtype=float)
             sig_n = np.asarray(problem.sigma(t_n, X, y_cur, z_cur), dtype=float)
-            # The scheme runs on the safe rows only; the band rows just take
-            # their band values.  A coupled level's later pass re-evaluates b
-            # and sigma, which can move a safe row's fan out of the hull: the
-            # row then joins the band for the rest of the level, its iterate
+            # A coupled level's later pass re-evaluates b and sigma, which can
+            # move a safe row's fan out of the hull or its live box: the row
+            # then joins the band for the rest of the level, its iterate
             # pinned to the band value.
             key, prev = (dt, b_n, sig_n), self._coeff_key
             repeated = prev is not None and all(map(np.array_equal, key, prev))
             if not repeated:
                 _require_finite([b_n, sig_n], X, "b or sigma", level)
-                self._coeff_key, self._mask, self._plans = key, self._safe_mask(*key), None
-            mask = self._mask
+                self._coeff_key, self._hull = key, self._safe_mask(*key)
+            mask = self._hull if live is None else self._hull & live
+            box = None if self._cone is None else self._box_mask(level, dt, b_n, sig_n)
+            if box is not None:
+                # rows still in the scheme that only the box rule removes
+                self.escaped += int(np.count_nonzero((mask if safe is None else safe) & ~box))
+                mask = mask & box
             if safe is None or np.any(safe & ~mask):
                 safe = mask if safe is None else safe & mask
                 unsafe = ~safe
@@ -735,8 +875,12 @@ class _LevelWorkspace:
                 band = self._band_values(level, t_n, unsafe, v_next)
                 if outer > 0:
                     v[unsafe] = band
-            plans = self._pass_plans(repeated, safe)
-            EY, EYW = self._expectations(dt, X_safe, b_n[safe], sig_n[safe], history, plans)
+            plans, rows = self._pass_plans(repeated, safe)
+            if rows is safe:
+                EY, EYW = self._expectations(dt, X_safe, b_n[safe], sig_n[safe], history, plans)
+            else:  # a stored plan's rows around this pass's; compress keeps EY C-ordered
+                EY, EYW = self._expectations(dt, X[rows], b_n[rows], sig_n[rows], history, plans)
+                EY, EYW = (np.compress(safe[rows], E, axis=1) for E in (EY, EYW))
             z_safe = np.einsum("j,jnpd->npd", alpha[1:], EYW)
             rhs = -np.einsum("j,jnp->np", alpha[1:], EY)
             y_safe, iters = self._implicit_y(
@@ -749,10 +893,8 @@ class _LevelWorkspace:
             # consecutive-difference tolerance under acceleration.
             res = np.abs(g - v)
             delta = float(np.max(res))
-            theta = None if last_delta is None else delta / last_delta
-            if first_delta is None:
-                first_delta = delta
-            last_delta = delta
+            theta = delta / deltas[-1] if deltas else None
+            deltas.append(delta)
             # The rate exit: contracting at theta, the iterate's remaining
             # error is about theta / (1 - theta) * delta.
             if theta is not None and theta < 1.0 and delta >= tol > theta / (1.0 - theta) * delta:
@@ -761,12 +903,12 @@ class _LevelWorkspace:
                 self.picard_counts.append(outer + 1)
                 return self.disc.field(level, v)
             if delta < tol or outer + 1 == self.max_outer:
-                if delta > max(first_delta, tol):
+                if delta > max(deltas[0], tol):
                     break  # residual grew: report divergence below
                 if problem.coupled:
                     self.picard_counts.append(outer + 1)
                     if delta >= tol:
-                        self.unconverged.append((delta, tol, theta))
+                        self.unconverged.append((delta, tol, *_contraction_rate(deltas)))
                 else:
                     self.picard_counts.append(iters)
                 return self.disc.field(level, g)
@@ -872,13 +1014,27 @@ def _warn_unconverged(config, sweep, chain):
             parts.append(f"{len(ws.unconverged)} of {len(ws.picard_counts)} {what}")
             accepted += ws.unconverged
     if parts:
-        residual, tol, theta = max(accepted, key=lambda entry: entry[0] / entry[1])
+        residual, tol, rate, span = max(accepted, key=lambda entry: entry[0] / entry[1])
         logger.warning(
             "%s accepted an outer iterate with residual >= the level tolerance "
             "(worst %.3g against %.3g) when the max_outer=%d budget ran out; "
-            "that level's last contraction rate was %s",
+            "that level's contraction rate was %s",
             " and ".join(parts), residual, tol, config.max_outer,
-            "unmeasured (one pass)" if theta is None else f"{theta:.3g}",
+            "unmeasured (one pass)" if rate is None
+            else f"{rate:.3g} per pass over its last {span} passes",
+        )
+
+
+def _warn_escaped(sweep):
+    """One warning for the live rows whose fans passed the live box of a level they read."""
+    if sweep.escaped:
+        logger.warning(
+            "%d live rows left the scheme for band values because a quadrature "
+            "fan passed the live box of a level they read: |b| or sigma's row "
+            "norm exceeded the probed bounds b_bound=%s, s_bound=%s there",
+            sweep.escaped,
+            np.array2string(sweep.disc.b_bound, precision=4),
+            np.array2string(sweep.disc.s_bound, precision=4),
         )
 
 
@@ -902,7 +1058,7 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
     dt = problem.T / N
     fields, chain = init_terminal(problem, config, disc)
     ws = _LevelWorkspace(
-        problem, disc, coeffs, config, band_exact=config.terminal_mode == "exact"
+        problem, disc, coeffs, config, band_exact=config.terminal_mode == "exact", cone=True
     )
     # The step reads k levels and its predictor up to four.  The scheme
     # never reads level N; a kinked phi stays out of the predictor too.
@@ -913,6 +1069,7 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
         fields[n] = ws.step(n, n * dt, dt, history)
         fields.pop(n + kept, None)
     _warn_unconverged(config, ws, chain)
+    _warn_escaped(ws)
 
     final, x0, p = fields[0], problem.x0[None, :], problem.p
     yz0 = interpolate_values(final.values, final.window, disc.spec, x0, disc.r)[0]

@@ -279,6 +279,31 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_module_run_prints_no_runpy_warning():
+    # the package loads the study driver only on first use, so running it
+    # as __main__ does not find it imported already
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "fbsde_multistep.bench",
+         "--problem", "ex51", "--k", "1", "--N", "4"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "| 1 | 4 |" in proc.stdout
+
+
+def test_package_serves_the_study_driver_on_first_use():
+    code = (
+        "import sys, fbsde_multistep as pkg; "
+        "print('fbsde_multistep.bench' in sys.modules); "
+        "from fbsde_multistep import bench; "
+        "print(all(getattr(pkg, name) is getattr(bench, name) "
+        "for name in ('ConvergenceReport', 'RunSpec', 'fit_rate', 'run')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_cli_diverged_exit_code(monkeypatch):
     from fbsde_multistep import bench
 

@@ -22,6 +22,7 @@ from fbsde_multistep import (
     grid_points,
     init_terminal,
     interpolate_values,
+    neighbor_set,
     registry_get,
     solve,
 )
@@ -478,33 +479,215 @@ def test_wider_envelope_leaves_the_answer_unchanged(monkeypatch):
 
 
 def test_scheme_runs_on_safe_rows_only(monkeypatch):
-    # every call of f in the sweep sees exactly the rows whose fan stays in
-    # the hull; the copy band is never iterated
+    # every call of f in the sweep sees exactly the live rows whose fan
+    # stays in the hull; the copy band and the dead rows are never iterated
     events = []
-    safe_mask = solver._LevelWorkspace._safe_mask
+    safe_mask, step = solver._LevelWorkspace._safe_mask, solver._LevelWorkspace.step
 
     def recorded_mask(self, *args):
         mask = safe_mask(self, *args)
         events.append(("mask", mask))
         return mask
 
+    def recorded_step(self, level, *args):
+        events.append(("level", level))
+        return step(self, level, *args)
+
     def f(t, X, Y, Z):
         events.append(("f", X.copy()))
         return EX51.f(t, X, Y, Z)
 
     monkeypatch.setattr(solver._LevelWorkspace, "_safe_mask", recorded_mask)
+    monkeypatch.setattr(solver._LevelWorkspace, "step", recorded_step)
     config = SolverConfig(k=3, N=16)
     disc = solve(dataclasses.replace(EX51, f=f), config).discretization
     n = disc.X.shape[0]
-    assert [kind for kind, _ in events].count("mask") == config.N - config.k
-    assert events[0][0] == "mask"
-    mask = None
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("mask") == kinds.count("level") == config.N - config.k
+    assert kinds[:2] == ["level", "mask"]
+    pruned = 0
     for kind, value in events:
-        if kind == "mask":
+        if kind == "level":
+            live = disc.first_live <= value
+        elif kind == "mask":
             mask = value
             assert 0 < mask.sum() < n
         else:
-            np.testing.assert_array_equal(value, disc.X[mask])
+            np.testing.assert_array_equal(value, disc.X[mask & live])
+            pruned += np.any(mask & ~live)
+    assert pruned > 0  # some levels run fewer rows than the hull allows
+
+
+def _probed_maxima(problem, config):
+    """Discretize, returning the record and the largest |b| and sigma L1 row norm of every probe call."""
+    seen = {"b": 0.0, "s": 0.0}
+
+    def b(t, X, Y, Z):
+        out = problem.b(t, X, Y, Z)
+        seen["b"] = np.maximum(seen["b"], np.max(np.abs(out), axis=0))
+        return out
+
+    def sigma(t, X, Y, Z):
+        out = problem.sigma(t, X, Y, Z)
+        seen["s"] = np.maximum(seen["s"], np.max(np.abs(out).sum(axis=2), axis=0))
+        return out
+
+    probed = dataclasses.replace(problem, b=b, sigma=sigma)
+    seen.update(b=0.0, s=0.0)  # drop the decoupled-flag probes made by the record itself
+    disc = discretize(probed, config)
+    return disc, seen["b"], seen["s"]
+
+
+@pytest.mark.parametrize("name, k, N", [("ex51", 3, 16), ("ex52_bs", 2, 16), ("ex53_2d", 2, 8), ("ex55", 2, 16)])
+def test_record_bounds_dominate_the_probed_coefficients(name, k, N):
+    # the window and the live boxes are sized from BOUND_INFLATION times the
+    # largest |b| and sigma row norm that the coefficient probe met
+    problem = registry_get(name)
+    disc, b_max, s_max = _probed_maxima(problem, SolverConfig(k=k, N=N))
+    assert disc.b_bound.shape == disc.s_bound.shape == (problem.q,)
+    np.testing.assert_array_equal(disc.b_bound, solver.BOUND_INFLATION * b_max)
+    np.testing.assert_array_equal(disc.s_bound, solver.BOUND_INFLATION * s_max)
+    assert np.all(disc.b_bound >= b_max) and np.all(disc.s_bound > s_max)
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [("ex51", SolverConfig(k=3, N=16)), ("ex51", SolverConfig(k=2, N=32, r=5)),
+     ("ex53_2d", SolverConfig(k=2, N=8)), ("ex55", SolverConfig(k=2, N=16, r=7))],
+    ids=["ex51-r6", "ex51-r5", "ex53_2d", "ex55-r7"],
+)
+def test_first_live_level_grows_outward_from_the_answers_stencil(name, config):
+    # Level 0 is live exactly on the stencil the answer's interpolation at
+    # x0 reads (odd r included: the stencil and the live box are
+    # half-open), and a point farther from x0 on every axis never turns
+    # live at a lower level than a nearer one
+    problem = registry_get(name)
+    disc = discretize(problem, config)
+    first = disc.first_live
+    assert first.shape == (disc.X.shape[0],) and first.min() == 0
+    stencil = neighbor_set(disc.spec, disc.window, problem.x0, disc.r) - disc.window.lo
+    flat = np.ravel_multi_index(tuple(stencil.T), disc.window.extents)
+    np.testing.assert_array_equal(np.flatnonzero(first == 0), np.sort(flat))
+    offsets = np.rint((disc.X - problem.x0) / disc.h).astype(int)
+    distance = np.abs(offsets).max(axis=1)
+    for near in range(distance.max()):
+        assert first[distance == near].max() <= first[distance == near + 1].min()
+    # the window's far rows are dead on the lowest levels
+    assert first.max() > 1
+
+
+def _solve_with_dead_rows(monkeypatch, problem, config, fill=None):
+    """Solve; with ``fill``, every dead row of each stored sweep level is overwritten by it.
+
+    Returns the result and the dead-row count over all sweep levels.
+    """
+    step = solver._LevelWorkspace.step
+    dead = [0]
+
+    def overwriting(self, level, *args):
+        field = step(self, level, *args)
+        live = self._live_rows(level)
+        if live is None:
+            return field
+        dead[0] += int(np.count_nonzero(~live))
+        if fill is None:
+            return field
+        rows = field.values.reshape(len(live), -1).copy()
+        rows[~live] = fill
+        return self.disc.field(level, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver._LevelWorkspace, "step", overwriting)
+        result = solve(problem, config)
+    return result, dead[0]
+
+
+DEAD_ROW_CELLS = [
+    ("ex51", SolverConfig(k=3, N=16)),
+    ("ex53_2d", SolverConfig(k=2, N=8)),
+    ("ex54a", SolverConfig(k=2, N=32)),
+    ("ex55", SolverConfig(k=3, N=128)),
+    ("ex55", SolverConfig(k=2, N=16, terminal_mode="bootstrap")),
+]
+
+
+@pytest.mark.parametrize(
+    "name, config", DEAD_ROW_CELLS, ids=[f"{n}-k{c.k}-N{c.N}-{c.terminal_mode}" for n, c in DEAD_ROW_CELLS]
+)
+def test_no_level_reads_a_dead_row(monkeypatch, name, config):
+    # the live boxes are the scheme's exact domain of dependence: a garbage
+    # value in every row outside them moves no answer bit, and no pass count
+    problem = registry_get(name)
+    base, dead = _solve_with_dead_rows(monkeypatch, problem, config)
+    poisoned, _ = _solve_with_dead_rows(monkeypatch, problem, config, fill=123.0)
+    assert dead > 0
+    _assert_same_result(base, poisoned)
+
+
+def test_dead_rows_stay_out_of_the_residual(monkeypatch):
+    # Dead rows are pinned to the level above from the first pass, so every
+    # Broyden step of a coupled sweep level sees a zero residual there; a
+    # warm-started dead row would put the O(dt) move between levels into the
+    # first pass's residual and fake a fast contraction (on ex55 k3 N128
+    # that moved err_z by about 50 %)
+    broyden, step = solver._BroydenState.step, solver._LevelWorkspace.step
+    current, checked = {}, []
+
+    def recorded_step(self, level, *args):
+        current["dead"] = None if self._live_rows(level) is None else ~self._live_rows(level)
+        return step(self, level, *args)
+
+    def checked_broyden(self, v, g):
+        dead = current["dead"]
+        if dead is not None and dead.any():
+            np.testing.assert_array_equal(g[dead], v[dead])
+            checked.append(int(dead.sum()))
+        return broyden(self, v, g)
+
+    monkeypatch.setattr(solver._LevelWorkspace, "step", recorded_step)
+    monkeypatch.setattr(solver._BroydenState, "step", checked_broyden)
+    solve(registry_get("ex55"), SolverConfig(k=3, N=32))
+    assert len(checked) > 5
+
+
+def _shrunk_bounds(factor):
+    """A discretize whose record's bounds, and live levels, are ``factor`` times the probed ones."""
+
+    def shrunk(problem, config):
+        disc = discretize(problem, config)
+        b_bound, s_bound = factor * disc.b_bound, factor * disc.s_bound
+        cone = solver._cone_cells(
+            b_bound, s_bound, problem.T / config.N, disc.rule.max_abs_node, disc.spec.h, disc.r
+        )
+        first = solver._first_live_levels(disc.window, disc.r, cone)
+        return dataclasses.replace(disc, b_bound=b_bound, s_bound=s_bound, first_live=first)
+
+    return shrunk
+
+
+def _escape_warnings(caplog):
+    return [r.getMessage() for r in caplog.records if "passed the live box" in r.getMessage()]
+
+
+def test_fans_past_a_live_box_leave_the_scheme_and_warn(monkeypatch, caplog):
+    # Under bounds below the coefficients the sweep meets, some live rows'
+    # fans pass the live box of a level they read: they take band values,
+    # the solve warns once with their count, and still no level reads a
+    # dead row.  Under the probed bounds nothing escapes.
+    config = SolverConfig(k=3, N=16)
+    with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
+        solve(EX51, config)
+    assert _escape_warnings(caplog) == []
+    caplog.clear()
+    monkeypatch.setattr(solver, "discretize", _shrunk_bounds(0.3))
+    with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
+        base, dead = _solve_with_dead_rows(monkeypatch, EX51, config)
+    (warned,) = _escape_warnings(caplog)
+    count = int(warned.split()[0])
+    assert count > 0 and dead > 0
+    assert "b_bound=[" in warned and "s_bound=[" in warned
+    poisoned, _ = _solve_with_dead_rows(monkeypatch, EX51, config, fill=123.0)
+    _assert_same_result(base, poisoned)
 
 
 def test_safe_row_fans_stay_inside_the_hull(monkeypatch):
@@ -1153,25 +1336,33 @@ def _check_fused_passes(monkeypatch):
     """Check every level pass bitwise against _per_fan_expectations.
 
     Returns a list that the solves then fill with one (stored plans used,
-    quadrature calls) pair per pass.
+    quadrature calls, pruned) triple per pass; a pruned pass is one whose
+    level's live box leaves out rows the hull allows.
     """
-    passes, calls = [], [0]
-    expect = solver.expect_gaussian
+    passes, calls, levels = [], [0], []
+    expect, step = solver.expect_gaussian, solver._LevelWorkspace.step
 
     def counted_expect(*args):
         calls[0] += 1
         return expect(*args)
 
+    def recorded_step(self, level, *args):
+        levels.append(level)
+        return step(self, level, *args)
+
     def checked(self, dt, X, b_n, sig_n, history, plans):
         calls[0] = 0
         EY, EYW = _FUSED_EXPECTATIONS(self, dt, X, b_n, sig_n, history, plans)
-        passes.append((plans is not None, calls[0]))
+        live = self._live_rows(levels[-1])
+        pruned = live is not None and bool(np.any(self._hull & ~live))
+        passes.append((plans is not None, calls[0], pruned))
         ref_EY, ref_EYW = _per_fan_expectations(self, dt, X, b_n, sig_n, history)
         np.testing.assert_array_equal(EY, ref_EY)
         np.testing.assert_array_equal(EYW, ref_EYW)
         return EY, EYW
 
     monkeypatch.setattr(solver, "expect_gaussian", counted_expect)
+    monkeypatch.setattr(solver._LevelWorkspace, "step", recorded_step)
     monkeypatch.setattr(solver._LevelWorkspace, "_expectations", checked)
     return passes
 
@@ -1201,17 +1392,22 @@ def test_fused_pass_matches_per_fan_expectations(
     # through stored plans from the second level on where they repeat.  The
     # 1-d windows fit one block; L^2 = 1024 nodes (heat_d2 at L = 32) or a
     # small block constant split each pass into several blocks, each with
-    # its own plans.
+    # its own plans.  The low levels run only their live rows, fewer each
+    # level: a streaming one takes fewer blocks, and one that reads the
+    # stored plans reads them over the stored rows.
     if block_values is not None:
         monkeypatch.setattr(solver, "EXPECT_BLOCK_VALUES", block_values)
     passes = _check_fused_passes(monkeypatch)
     solve(problem, config)
     assert len(passes) >= config.N - config.k
-    assert all(calls > 2 if blocks else calls == 1 for _, calls in passes)
+    assert any(pruned for _, _, pruned in passes)
+    full = [calls for used, calls, pruned in passes if used or not pruned]
+    assert all(calls > 2 if blocks else calls == 1 for calls in full)
+    assert all(1 <= calls <= max(full) for used, calls, pruned in passes if pruned and not used)
     if stored:
-        assert [used for used, _ in passes] == [False] + [True] * (len(passes) - 1)
+        assert [used for used, _, _ in passes] == [False] + [True] * (len(passes) - 1)
     else:
-        assert not any(used for used, _ in passes)
+        assert not any(used for used, _, _ in passes)
 
 
 def test_two_noise_dimensions_at_64_nodes_keep_memory_flat(monkeypatch):
@@ -1270,14 +1466,42 @@ def test_level_without_contraction_never_exits_early(monkeypatch, caplog):
     c = 1e-3  # far above the level tolerance 0.01 * (1/8)^3 = 1.95e-5
     ws, config = _scripted_level(monkeypatch, [8 * c, 6 * c, 9 * c, 5 * c, 10 * c, 4 * c])
     assert ws.picard_counts == [config.max_outer]
-    ((residual, tol, theta),) = ws.unconverged
-    assert residual == pytest.approx(6 * c) and theta == pytest.approx(1.2)
+    ((residual, tol, rate, span),) = ws.unconverged
+    # the rate over the last three passes, (6c / 3c)^(1/3)
+    assert residual == pytest.approx(6 * c) and rate == pytest.approx(2.0 ** (1 / 3))
+    assert span == 3
     with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
         solver._warn_unconverged(config, ws, None)
     (warned,) = [r.getMessage() for r in caplog.records]
     assert warned.startswith("1 of 1 sweep levels")
     assert "residual >= the level tolerance (worst 0.006 against 1.95e-05)" in warned
-    assert warned.endswith("that level's last contraction rate was 1.2")
+    assert warned.endswith("that level's contraction rate was 1.26 per pass over its last 3 passes")
+
+
+def test_cycling_level_reports_rate_one_wherever_the_budget_cuts(monkeypatch, caplog):
+    # residuals 6c, then the period-3 cycle 3c, 2c, 4c, 3c, 2c: the last
+    # ratio reads 0.667 at this budget (and 1.33 or 0.75 at the next two),
+    # while the rate over the last three passes reads 1, the cycle's truth.
+    # The rate exit never fires: theta / (1 - theta) * delta stays far above
+    # the tolerance.
+    c = 1e-3
+    ws, config = _scripted_level(monkeypatch, [6 * c, 3 * c, 5 * c, c, 4 * c, 6 * c])
+    assert ws.picard_counts == [config.max_outer]
+    ((residual, _, rate, span),) = ws.unconverged
+    assert residual == pytest.approx(2 * c)
+    assert rate == pytest.approx(1.0) and span == 3
+    with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
+        solver._warn_unconverged(config, ws, None)
+    (warned,) = [r.getMessage() for r in caplog.records]
+    assert warned.endswith("that level's contraction rate was 1 per pass over its last 3 passes")
+
+
+def test_contraction_rate_spans_up_to_three_passes():
+    assert solver._contraction_rate([5.0]) == (None, 0)
+    assert solver._contraction_rate([4.0, 2.0]) == (0.5, 1)
+    assert solver._contraction_rate([8.0, 4.0, 2.0]) == (0.5, 2)
+    rate, span = solver._contraction_rate([9.0, 8.0, 4.0, 2.0, 1.0])
+    assert rate == pytest.approx(0.5) and span == 3
 
 
 def test_contracting_level_takes_the_rate_exit(monkeypatch):
