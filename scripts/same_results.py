@@ -1,4 +1,4 @@
-"""Check that a revision and the working tree solve every benchmark cell bitwise alike.
+"""Check that a revision and the working tree solve every benchmark and acceptance cell bitwise alike.
 
 Run from the root of a checkout:
 
@@ -7,14 +7,16 @@ Run from the root of a checkout:
 REV is exported with ``git archive`` (``bench_pairs.export_revision``) into a
 temporary directory.  Each side then solves every cell of
 ``perfbench/workloads.json`` (the working tree's list, smoke cells included)
-once, in a subprocess with that side's ``src`` on PYTHONPATH.  Per cell the
-script prints a sha256 of y0, z0, err_y, err_z and picard_stats on each
-side.  Under each cell whose digests differ it prints how far err_y and
-err_z moved (the relative change of their largest component), both sides'
-picard_stats, and each side's budget-exit warning: the solver's warning that
-coupled levels accepted an outer iterate when ``max_outer`` ran out, caught
-from the ``fbsde_multistep.solver`` logger and kept outside the digest.  It
-exits 1 naming each cell whose digest differs or that fails on one side only.
+once, and after them the 48 cells of acceptance criteria 08 and 09
+(:data:`ACCEPTANCE_CELLS`), in a subprocess with that side's ``src`` on
+PYTHONPATH.  Per cell the script prints a sha256 of y0, z0, err_y, err_z and
+picard_stats on each side.  Under each cell whose digests differ it prints
+how far err_y and err_z moved (the relative change of their largest
+component), both sides' picard_stats, and each side's budget-exit warning:
+the solver's warning that coupled levels accepted an outer iterate when the
+``solver.MAX_OUTER`` pass budget ran out, caught from the
+``fbsde_multistep.solver`` logger and kept outside the digest.  It exits 1
+naming each cell whose digest differs or that fails on one side only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,21 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, SIDES, export_revision  # noqa: E402
+
+
+# Criterion 08's ex53_2d ladders and criterion 09's coupled ones
+# (tests/test_acceptance.py), all under exact seeding; each label starts with
+# its criterion, so a cell that is also a workload cell is solved once more.
+ACCEPTANCE_LADDERS = (
+    ("08", ("ex53_2d",), (8, 16, 32, 64)),
+    ("09", ("ex54a", "ex54b", "ex55"), (16, 32, 64, 128)),
+)
+ACCEPTANCE_CELLS = [
+    {"label": f"c{criterion}/{problem}/k{k}/N{N}/exact", "problem": problem, "k": k, "N": N,
+     "terminal_mode": "exact"}
+    for criterion, problems, Ns in ACCEPTANCE_LADDERS
+    for problem in problems for k in (1, 2, 3) for N in Ns
+]
 
 
 def workload_cells(workloads: dict) -> list[dict]:
@@ -149,7 +166,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     args = parser.parse_args(argv)
-    cells = workload_cells(json.loads((ROOT / "perfbench" / "workloads.json").read_text()))
+    workload = workload_cells(json.loads((ROOT / "perfbench" / "workloads.json").read_text()))
+    cells = workload + ACCEPTANCE_CELLS
     labels = [cell["label"] for cell in cells]
     with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
         commit = export_revision(args.base, Path(tmp))
@@ -166,8 +184,11 @@ def main(argv=None) -> int:
             print(" " * 4 + describe_change(base_rec, head_rec))
             for line in describe_budget_exits(base_rec, head_rec):
                 print(" " * 4 + line)
+    alike = [label not in bad for label in labels]
+    split = len(workload)
     print(f"base {args.base} ({commit[:12]}) against the working tree: "
-          f"{len(labels) - len(bad)} of {len(labels)} cells alike")
+          f"{sum(alike[:split])} of {split} workload cells and "
+          f"{sum(alike[split:])} of {len(ACCEPTANCE_CELLS)} acceptance cells alike")
     if bad:
         print("cells that differ: " + ", ".join(f"{label} ({why})" for label, why in bad.items()))
         return 1

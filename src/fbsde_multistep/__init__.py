@@ -46,7 +46,6 @@ from .spacegrid import (
     OutOfDomainError,
     ValueField,
     grid_points,
-    interpolate,
     interpolate_values,
     neighbor_set,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "grid_points",
     "hermite_rule",
     "init_terminal",
-    "interpolate",
     "interpolate_values",
     "neighbor_set",
     "normal_cdf",

@@ -29,7 +29,7 @@ class GaussHermiteRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
+    @functools.cached_property  # the nodes are frozen: computed on the first read only
     def max_abs_node(self) -> float:
         return float(np.max(np.abs(self.nodes)))
 

@@ -37,6 +37,7 @@ from .quadrature import MAX_POINTS, GaussHermiteRule, expect_gaussian, hermite_r
 from .spacegrid import (
     ActiveWindow,
     GridSpec,
+    OutOfDomainError,
     ValueField,
     grid_points,
     interpolate_values,
@@ -56,7 +57,7 @@ OUTER_TOL_FRACTION = 1e-2
 BOUND_INFLATION = 1.5
 EXTRA_MARGIN_CELLS = 5
 BOOTSTRAP_MAX_SUBSTEPS = 4096
-# Degrees weighed for a smooth 1-d problem; the least one whose predicted fan
+# Degrees weighed for a smooth problem; the least one whose predicted fan
 # work is within WORK_MARGIN times the cheapest candidate's is chosen.
 DEGREE_CANDIDATES = (6, 8, 10, 12, 14)
 WORK_MARGIN = 1.25
@@ -69,6 +70,13 @@ MAX_PLAN_ENTRIES = 1 << 18
 EXPECT_BLOCK_VALUES = 1 << 16
 # Iteration cap of the implicit-Y Picard loop and of the terminal Z fixed point.
 MAX_PICARD = 100
+# Outer-pass budget of a coupled level.  A level exits early once its
+# residual falls below max(eps0, OUTER_TOL_FRACTION * dt^(k+1)), a fraction of
+# the scheme's local error, or once its contraction rate predicts the rest of
+# the error below that; when the budget runs out while the iteration is still
+# contracting, the current image is accepted (and warned about), and an actual
+# divergence still raises.
+MAX_OUTER = 6
 
 # Warm-start weights of the level step, by the number of history levels
 # given: the degree 0, 1, 2 and 3 extrapolations in time through the newest
@@ -112,13 +120,6 @@ class SolverConfig:
     r: Optional[int] = None
     h: Optional[float] = None
     eps0: float = 1e-11
-    # Budget for the coupled outer loop.  A level exits early once its
-    # residual falls below max(eps0, OUTER_TOL_FRACTION * dt^(k+1)), a
-    # fraction of the scheme's local error, or once its contraction rate
-    # predicts the rest of the error below that; when the budget runs out
-    # while the iteration is still contracting, the current image is
-    # accepted (and warned about), and an actual divergence still raises.
-    max_outer: int = 6
     terminal_mode: str = "exact"
 
     def __post_init__(self):
@@ -136,8 +137,6 @@ class SolverConfig:
             raise ConfigError(f"grid spacing must be positive, got {self.h}")
         if self.eps0 <= 0:
             raise ConfigError(f"Picard tolerance must be positive, got {self.eps0}")
-        if self.max_outer < 1:
-            raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.terminal_mode not in ("exact", "bootstrap"):
             raise ConfigError(
                 f"terminal_mode must be 'exact' or 'bootstrap', got {self.terminal_mode!r}"
@@ -165,7 +164,8 @@ class Discretization:
     (r, fan_work) pairs of every degree the policy weighed, the chosen one
     among them.  ``b_bound`` and ``s_bound`` are the inflated per-axis
     bounds of |b| and of sigma's L1 row norm that size the window and the
-    live boxes, and ``first_live`` the first sweep level at which each
+    live boxes, ``cone`` the per-axis growth of the live box per sweep
+    level in cells, and ``first_live`` the first sweep level at which each
     window point is live (see :func:`_first_live_levels`).
     """
 
@@ -182,6 +182,7 @@ class Discretization:
     degree_work: tuple[tuple[int, int], ...]
     b_bound: np.ndarray
     s_bound: np.ndarray
+    cone: np.ndarray
     first_live: np.ndarray
 
     def field(self, level, rows) -> ValueField:
@@ -238,6 +239,13 @@ def _pack(problem, Y, Z) -> np.ndarray:
     return np.concatenate([np.reshape(Y, (n, p)), np.reshape(Z, (n, p * problem.d))], 1)
 
 
+def _exact_rows(problem, t, X, level, where=""):
+    """The exact solution's rows [y | z] at time t, raising at the first non-finite point."""
+    rows = _pack(problem, problem.exact_y(t, X), problem.exact_z(t, X))
+    _require_finite([rows], X, "exact_y or exact_z" + where, level)
+    return rows
+
+
 def _terminal_yz_probe(problem: FbsdeProblem, X: np.ndarray, eps0: float):
     """Terminal-level (Y, Z) used both for seeding and coefficient probing."""
     Y = np.asarray(problem.phi(X), dtype=float)
@@ -289,8 +297,11 @@ class _Degree(NamedTuple):
 
 
 def _fan_reach(b_bound, s_bound, k, dt, max_node):
-    """Per-axis reach of the k-step quadrature fan, B_b*k*dt + B_s*sqrt(2k dt)*max_node."""
-    return b_bound * (k * dt) + s_bound * (math.sqrt(2.0 * k * dt) * max_node)
+    """Per-axis reach of the k-step quadrature fan, B_b*k*dt + B_s*sqrt(2k dt)*max_node.
+
+    ``k`` may be an array of step counts shaped to broadcast against the bounds.
+    """
+    return b_bound * (k * dt) + s_bound * (np.sqrt(2.0 * k * dt) * max_node)
 
 
 def _cone_cells(b_bound, s_bound, dt, max_node, h, r):
@@ -324,17 +335,16 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
       contributions, h^(r+1) = dt^(k+1), in units of the problem's
       characteristic length (grid_scale), which matters for problems like
       log-price models whose features live on a sub-unit scale.
-    * Degree: a smooth-terminal problem with q = 1 and k <= 6 weighs every
-      degree of DEGREE_CANDIDATES.  Each gets its balancing h, its node
-      count and its window, and among the degrees whose fan the node count
-      resolves, the least one whose predicted fan work (below) is within
-      WORK_MARGIN of the cheapest wins: a larger r buys a coarser h, whose
-      fan spans fewer cells and needs fewer nodes, for (r+1)^q stencil
-      entries per query (Berrut & Trefethen, SIAM Review 2004, on trading h
-      for r).  Where no degree's fan fits under the node cap, the narrowest
-      fan wins.  A kinked terminal function, which a higher degree resolves
-      worse, q >= 2, where (r+1)^q stencils make a higher degree cost more,
-      and a caller-given h keep the brackets of :func:`_default_degree`; a
+    * Degree: a smooth-terminal problem with k <= 6 weighs every degree of
+      DEGREE_CANDIDATES.  Each gets its balancing h, its node count and its
+      window, and among the degrees whose fan the node count resolves, the
+      least one whose predicted fan work (below) is within WORK_MARGIN of
+      the cheapest wins: a larger r buys a coarser h, whose fan spans fewer
+      cells and needs fewer nodes, for (r+1)^q stencil entries per query
+      (Berrut & Trefethen, SIAM Review 2004, on trading h for r).  Where no
+      degree's fan fits under the node cap, the narrowest fan wins.  A
+      kinked terminal function, which a higher degree resolves worse, and a
+      caller-given h keep the brackets of :func:`_default_degree`; a
       caller-given r is used as it is.
     * Coefficient bounds: per-axis sup bounds of |b| and of the L1 row norm
       of sigma, from one probe pass over a box sized from values at x0 (no
@@ -431,7 +441,7 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
 
     if config.r is not None:
         degrees = (config.r,)
-    elif config.h is None and problem.q == 1 and problem.smooth_terminal and k <= 6:
+    elif config.h is None and problem.smooth_terminal and k <= 6:
         degrees = DEGREE_CANDIDATES
     else:
         degrees = (_default_degree(k),)
@@ -476,6 +486,7 @@ def discretize(problem: FbsdeProblem, config: SolverConfig) -> Discretization:
         degree_work=tuple((row.r, row.work) for row in scan),
         b_bound=b_bound,
         s_bound=s_bound,
+        cone=cone,
         first_live=_first_live_levels(window, r, cone),
     )
 
@@ -544,16 +555,6 @@ def _contraction_rate(deltas):
     return (deltas[-1] / deltas[-1 - span]) ** (1.0 / span), span
 
 
-class _Cone(NamedTuple):
-    """The live boxes of a sweep, in cells (see :func:`_first_live_levels`)."""
-
-    offsets: np.ndarray  # |offset| of each window point from x0, (n, q)
-    cells: np.ndarray  # growth of the box per level, per axis
-    top: int  # the top sweep level; the seed levels above it are read in full
-    full: int  # the first level at which every window point is live
-    hull: int  # the first level at which the hull mask implies the box check
-
-
 class _LevelWorkspace:
     """The discretization, the multistep weights and the counters of one sweep.
 
@@ -565,38 +566,32 @@ class _LevelWorkspace:
     interpolation plan of each j's quadrature fan over each row block of
     those rows (see :meth:`step`).
 
-    With ``cone`` (the main sweep, whose levels n = N-k-1 .. 0 read seed
+    With ``sweep`` (the main sweep, whose levels n = N-k-1 .. 0 read seed
     levels above N-k-1 in full) level n runs only on its live rows,
     ``disc.first_live <= n``; ``escaped`` counts the live rows that left the
-    scheme because a fan passed the live box of a level it reads.
+    scheme because a fan passed the live box of a level it reads.  Under
+    exact seeding the sweep's far-field band tracks the exact solution.
     """
 
-    def __init__(self, problem, disc, coeffs, config, band_exact=False, cone=False):
+    def __init__(self, problem, disc, coeffs, config, sweep=False):
         self.problem = problem
         self.disc = disc
         self.coeffs = coeffs
         self.k = coeffs.k
         self.eps0 = config.eps0
-        self.max_outer = config.max_outer if problem.coupled else 1
-        self.band_exact = band_exact
+        self.max_outer = MAX_OUTER if problem.coupled else 1
+        self.band_exact = sweep and config.terminal_mode == "exact"
         self.picard_counts: list[int] = []
         # (residual, tolerance, contraction rate or None, passes it spans) of
         # each level whose outer budget ran out
         self.unconverged: list[tuple[float, float, Optional[float], int]] = []
         self.escaped = 0
-        self._cone = None
-        if cone:
-            cells = _cone_cells(
-                disc.b_bound, disc.s_bound, problem.T / config.N,
-                disc.rule.max_abs_node, disc.spec.h, disc.r,
-            )
-            # From level ceil(W / cells) - 1 on, level n+1's box holds the
-            # window, W cells per side: a fan the hull keeps stays in it.
-            hull_level = int(np.max(np.ceil(disc.window.hi / cells))) - 1
-            self._cone = _Cone(
-                np.abs(_window_offsets(disc.window)), cells,
-                config.N - self.k - 1, int(disc.first_live.max()), hull_level,
-            )
+        self._top = config.N - self.k - 1  # the top sweep level; seeds above it are read in full
+        # Outside the sweep every row is live and no live box binds.
+        self._full = int(disc.first_live.max()) if sweep else 0  # every row is live from here on
+        # From level ceil(W / cone) - 1 on, level n+1's box holds the window,
+        # W cells per side: a fan the hull keeps stays in it.
+        self._hull_level = int(np.max(np.ceil(disc.window.hi / disc.cone))) - 1 if sweep else 0
         self._broyden = None
         self._coeff_key = None  # (dt, b_n, sigma_n) of the latest pass
         self._hull = None  # its hull mask
@@ -620,7 +615,7 @@ class _LevelWorkspace:
 
     def _live_rows(self, level):
         """The rows live at ``level``, or None when every row is."""
-        if self._cone is None or level >= self._cone.full:
+        if level >= self._full:
             return None
         return self.disc.first_live <= level
 
@@ -638,24 +633,24 @@ class _LevelWorkspace:
             return v_next[unsafe]
         live = self._live_rows(level)
         band = unsafe if live is None else unsafe & live
-        problem, Xb = self.problem, self.disc.X[band]
-        exact = _pack(problem, problem.exact_y(t_n, Xb), problem.exact_z(t_n, Xb))
-        _require_finite([exact], Xb, "exact_y or exact_z in the far-field band", level)
+        exact = _exact_rows(self.problem, t_n, self.disc.X[band], level, " in the far-field band")
         if live is None:
             return exact
         rows = v_next[unsafe]
         rows[band[unsafe]] = exact
         return rows
 
-    def _safe_mask(self, dt, b_n, sig_n):
+    def _safe_mask(self, level, dt, b_n, sig_n):
         """Points whose quadrature fan stays inside the static hull for all j <= k.
 
         Points failing this (an edge band several envelope standard
         deviations from the evaluation point) take band values instead of
         running the scheme: any truncated or clamped read there breaks the
         signed balance of the multistep weights and can amplify level over
-        level.  The mask also guards the stencil block around the grid
-        center, which must always be scheme-computed.
+        level.  The stencil block around the grid center must always be
+        scheme-computed; a fan from it that leaves the hull (|b| or sigma's
+        row norm far above the probed bounds that sized the window) raises
+        OutOfDomainError at its level and point.
         """
         disc = self.disc
         X = disc.X
@@ -663,14 +658,16 @@ class _LevelWorkspace:
             np.abs(b_n), np.abs(sig_n).sum(axis=2), self.k, dt, disc.rule.max_abs_node
         )
         safe = np.all((X - reach >= disc.lo) & (X + reach <= disc.hi), axis=1)
-        center = safe.reshape(disc.window.extents)
-        sl = tuple(
-            slice(int(-l - disc.r - 1), int(-l + disc.r + 2)) for l in disc.window.lo
-        )
-        if not bool(np.all(center[sl])):
-            raise RuntimeError(
-                "window sizing bug: the copy band reached the evaluation "
-                "point's stencil; enlarge the envelope margins"
+        sl = tuple(slice(int(-l - disc.r - 1), int(-l + disc.r + 2)) for l in disc.window.lo)
+        center = safe.reshape(disc.window.extents)[sl]
+        if not np.all(center):
+            index = np.argwhere(~center)[0] + [s.start for s in sl]
+            point = X[np.ravel_multi_index(tuple(index), disc.window.extents)]
+            raise OutOfDomainError(
+                f"a quadrature fan from the answer's stencil leaves the window at "
+                f"level {level}, point {point}: |b| or sigma's row norm exceeds the "
+                f"probed bounds b_bound={np.array2string(disc.b_bound, precision=4)}, "
+                f"s_bound={np.array2string(disc.s_bound, precision=4)} that sized it"
             )
         return safe
 
@@ -678,21 +675,22 @@ class _LevelWorkspace:
         """Rows whose fans, widened by the stencil half-width, stay in the live box of every sweep level they read.
 
         Fan j of a row m cells from x0 stays in level n+j's box when |m| +
-        reach_j / h <= (n+j) * cells on every axis, cells the box's growth
-        per level (see :func:`_first_live_levels`); seed levels above the
-        top sweep level are read in full.  It returns None where every hull-safe live row
+        reach_j / h <= (n+j) * disc.cone on every axis (see
+        :func:`_first_live_levels`); seed levels above the top sweep level
+        are read in full.  It returns None where every hull-safe live row
         passes: on a level whose boxes above hold the whole window, and
         where |b| and sigma's row norm stay within the record's bounds.
         """
-        if level >= self._cone.hull:
+        if level >= self._hull_level:
             return None
-        disc, (offsets, cells, top, _, _) = self.disc, self._cone
+        disc = self.disc
         b_abs, s_abs = np.abs(b_n), np.abs(sig_n).sum(axis=2)
         if np.all(b_abs <= disc.b_bound) and np.all(s_abs <= disc.s_bound):
             return None
-        j = np.arange(1, min(self.k, top - level) + 1)[:, None, None]
-        reach = b_abs * (j * dt) + s_abs * (np.sqrt(2.0 * j * dt) * disc.rule.max_abs_node)
-        return np.all(offsets + reach / disc.spec.h <= (level + j) * cells, axis=(0, 2))
+        j = np.arange(1, min(self.k, self._top - level) + 1)[:, None, None]
+        reach = _fan_reach(b_abs, s_abs, j, dt, disc.rule.max_abs_node)
+        offsets = np.abs(_window_offsets(disc.window))
+        return np.all(offsets + reach / disc.spec.h <= (level + j) * disc.cone, axis=(0, 2))
 
     def _pass_plans(self, repeated, safe):
         """The plan store for a pass and the rows it reads, or (None, safe) when the pass streams.
@@ -813,7 +811,7 @@ class _LevelWorkspace:
         [y | z] rows; b, sigma and f read Y and Z as views of them.
 
         The scheme runs on the safe rows: the live rows whose fans stay
-        inside the hull and, under ``cone``, inside the live box of every
+        inside the hull and, under ``sweep``, inside the live box of every
         sweep level they read.  Live rows off the scheme take band values,
         and a row whose fan passed a live box counts in ``escaped``.  Dead
         rows keep ``v_next``; they are pinned in the iterate from the first
@@ -861,9 +859,9 @@ class _LevelWorkspace:
             repeated = prev is not None and all(map(np.array_equal, key, prev))
             if not repeated:
                 _require_finite([b_n, sig_n], X, "b or sigma", level)
-                self._coeff_key, self._hull = key, self._safe_mask(*key)
+                self._coeff_key, self._hull = key, self._safe_mask(level, *key)
             mask = self._hull if live is None else self._hull & live
-            box = None if self._cone is None else self._box_mask(level, dt, b_n, sig_n)
+            box = self._box_mask(level, dt, b_n, sig_n)
             if box is not None:
                 # rows still in the scheme that only the box rule removes
                 self.escaped += int(np.count_nonzero((mask if safe is None else safe) & ~box))
@@ -999,14 +997,11 @@ def init_terminal(problem, config, disc):
         fields.update(seeds)
         return fields, chain
     for level in range(N - 1, N - k - 1, -1):
-        t = level * dt
-        rows = _pack(problem, problem.exact_y(t, X), problem.exact_z(t, X))
-        _require_finite([rows], X, "exact_y or exact_z", level)
-        fields[level] = disc.field(level, rows)
+        fields[level] = disc.field(level, _exact_rows(problem, level * dt, X, level))
     return fields, None
 
 
-def _warn_unconverged(config, sweep, chain):
+def _warn_unconverged(sweep, chain):
     """One warning for the outer iterates a solve accepted when the budget ran out."""
     parts, accepted = [], []
     for what, ws in (("sweep levels", sweep), ("bootstrap sub-levels", chain)):
@@ -1017,9 +1012,9 @@ def _warn_unconverged(config, sweep, chain):
         residual, tol, rate, span = max(accepted, key=lambda entry: entry[0] / entry[1])
         logger.warning(
             "%s accepted an outer iterate with residual >= the level tolerance "
-            "(worst %.3g against %.3g) when the max_outer=%d budget ran out; "
-            "that level's contraction rate was %s",
-            " and ".join(parts), residual, tol, config.max_outer,
+            "(worst %.3g against %.3g) when the MAX_OUTER budget of %d passes "
+            "ran out; that level's contraction rate was %s",
+            " and ".join(parts), residual, tol, MAX_OUTER,
             "unmeasured (one pass)" if rate is None
             else f"{rate:.3g} per pass over its last {span} passes",
         )
@@ -1057,9 +1052,7 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
     N, k = config.N, config.k
     dt = problem.T / N
     fields, chain = init_terminal(problem, config, disc)
-    ws = _LevelWorkspace(
-        problem, disc, coeffs, config, band_exact=config.terminal_mode == "exact", cone=True
-    )
+    ws = _LevelWorkspace(problem, disc, coeffs, config, sweep=True)
     # The step reads k levels and its predictor up to four.  The scheme
     # never reads level N; a kinked phi stays out of the predictor too.
     kept = max(k, len(PREDICTOR_WEIGHTS))
@@ -1068,7 +1061,7 @@ def solve(problem: FbsdeProblem, config: SolverConfig) -> SolveResult:
         history = {j: fields[n + j] for j in range(1, min(kept, top - n) + 1)}
         fields[n] = ws.step(n, n * dt, dt, history)
         fields.pop(n + kept, None)
-    _warn_unconverged(config, ws, chain)
+    _warn_unconverged(ws, chain)
     _warn_escaped(ws)
 
     final, x0, p = fields[0], problem.x0[None, :], problem.p

@@ -308,16 +308,3 @@ def interpolation_plan(
     u = _query_coords(spec, window, points, r)
     return InterpolationPlan(window, len(u), tuple(_plan_blocks(u, window, r)))
 
-
-def interpolate(field, spec: GridSpec, x, r: int, window: ActiveWindow | None = None):
-    """Interpolate a ValueField (returning (y, z)) or a bare array at one point.
-
-    Bare arrays need the window passed explicitly; ValueField carries its own.
-    """
-    point = np.asarray(x, dtype=float).reshape(1, spec.q)
-    if isinstance(field, ValueField):
-        yz = interpolate_values(field.values, field.window, spec, point, r)[0]
-        return yz[: field.p], yz[field.p :].reshape(field.p, -1)
-    if window is None:
-        raise ValueError("interpolating a bare array requires the window argument")
-    return interpolate_values(np.asarray(field, dtype=float), window, spec, point, r)[0]

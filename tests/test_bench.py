@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde_multistep import (
     ConfigError,
@@ -357,6 +359,53 @@ def test_render_csv_header_is_exact():
     from fbsde_multistep.bench import ConvergenceReport
     report = ConvergenceReport(problem="ex51", components=1)
     assert render_csv(report).splitlines()[0] == CSV_HEADER
+
+
+_FLOATS = st.floats(allow_nan=False)
+_CELLS = st.lists(
+    st.tuples(st.integers(1, 8), st.integers(2, 4096), st.booleans(),
+              st.lists(_FLOATS, min_size=3, max_size=3), st.lists(_FLOATS, min_size=3, max_size=3),
+              _FLOATS, st.integers(0, 100)),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(components=st.integers(1, 3), cells=_CELLS,
+       rates=st.dictionaries(st.tuples(st.integers(1, 8), st.integers(0, 2)),
+                             st.tuples(_FLOATS, _FLOATS), max_size=4))
+def test_render_csv_round_trips_every_float_bitwise(components, cells, rates):
+    # 17 significant digits re-parse to the very float rendered, in the data
+    # rows, DIVERGED rows and the per-k CR rows alike
+    from fbsde_multistep.bench import CellResult, ConvergenceReport
+
+    report = ConvergenceReport(problem="ex51", components=components, rates={
+        (k, comp % components): pair for (k, comp), pair in rates.items()})
+    for k, N, diverged, err_y, err_z, runtime, picard_max in cells:
+        errs = (None, None) if diverged else (np.array(err_y), np.array(err_z))
+        report.cells.append(CellResult(k, N, *errs, runtime, picard_max, diverged))
+    rows = list(csv.reader(render_csv(report).splitlines()))
+    assert rows[0] == CSV_HEADER.split(",")
+
+    def bits(text):
+        return float(text).hex()
+
+    data = rows[1 : 1 + components * len(report.cells)]
+    expected = [(cell, comp) for cell in report.cells for comp in range(components)]
+    assert len(data) == len(expected)
+    for row, (cell, comp) in zip(data, expected):
+        assert row[:4] == ["ex51", str(cell.k), str(cell.N), str(comp + 1)]
+        if cell.diverged:
+            assert row[4:6] == ["DIVERGED", "DIVERGED"]
+        else:
+            assert bits(row[4]) == float(cell.err_y[comp]).hex()
+            assert bits(row[5]) == float(cell.err_z[comp]).hex()
+        assert bits(row[6]) == float(cell.runtime).hex() and row[7] == str(cell.picard_max)
+    summary = rows[1 + len(data):]
+    assert len(summary) == len(report.rates)
+    for row, ((k, comp), (cr_y, cr_z)) in zip(summary, sorted(report.rates.items())):
+        assert row[:4] == ["ex51", str(k), "CR", str(comp + 1)] and row[6:] == ["", ""]
+        assert (bits(row[4]), bits(row[5])) == (float(cr_y).hex(), float(cr_z).hex())
 
 
 def test_cli_unknown_config_key_exits_one(tmp_path, capsys):

@@ -146,6 +146,21 @@ def test_same_results_cells_and_digest():
     assert same_results.result_digest(Result()) != digest
 
 
+def test_same_results_lists_each_acceptance_cell_once():
+    # criterion 08's ex53_2d ladders (k = 1..3, N = 8..64) and criterion
+    # 09's coupled ones (k = 1..3, N = 16..128), under exact seeding
+    cells = same_results.ACCEPTANCE_CELLS
+    keys = [(c["problem"], c["k"], c["N"], c["terminal_mode"]) for c in cells]
+    expected = [("ex53_2d", k, N, "exact") for k in (1, 2, 3) for N in (8, 16, 32, 64)]
+    expected += [(name, k, N, "exact") for name in ("ex54a", "ex54b", "ex55")
+                 for k in (1, 2, 3) for N in (16, 32, 64, 128)]
+    assert len(cells) == 48 and sorted(keys) == sorted(expected)
+    assert len({c["label"] for c in cells}) == 48
+    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+    workload_labels = {c["label"] for c in same_results.workload_cells(workloads)}
+    assert workload_labels.isdisjoint(c["label"] for c in cells)
+
+
 def test_same_results_describes_how_a_moved_cell_changed():
     class Stats:
         max_iterations, mean_iterations = 4, 3.3
@@ -171,8 +186,8 @@ def test_same_results_describes_how_a_moved_cell_changed():
 
 
 def test_same_results_reports_budget_exits_outside_the_digest():
-    # ex55 k2 N8 with bootstrap seeds ends one sweep level on the max_outer
-    # budget; the cell's record carries that warning, and its digest is the
+    # ex55 k2 N8 with bootstrap seeds ends one sweep level on the
+    # solver.MAX_OUTER budget; the cell's record carries that warning, and its digest is the
     # one of the result alone
     cell = {"label": "ex55/k2/N8/bootstrap", "problem": "ex55", "k": 2, "N": 8,
             "terminal_mode": "bootstrap"}

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde_multistep import approx_derivative, compute_coeffs, stability_report
+from fbsde_multistep.multistep import MAX_STEPS
 
 # Exact scaled weights alpha_{k,i} * dt for the first six step counts.
 KNOWN_WEIGHTS = {
@@ -144,3 +147,25 @@ def test_nonpositive_dt_rejected():
 def test_alphas_scale_with_dt():
     coeffs = compute_coeffs(2)
     np.testing.assert_allclose(coeffs.alphas(0.5), [-3.0, 4.0, -1.0])
+
+
+@pytest.mark.parametrize("k", range(1, MAX_STEPS + 1))
+@settings(max_examples=25, deadline=None)
+@given(
+    coeffs=st.lists(st.fractions(-100, 100, max_denominator=50), min_size=MAX_STEPS + 1,
+                    max_size=MAX_STEPS + 1),
+    t0=st.fractions(-4, 4, max_denominator=16),
+    dt=st.fractions(Fraction(1, 1000), 2, max_denominator=1000),
+)
+def test_weights_differentiate_polynomials_up_to_degree_k_exactly(k, coeffs, t0, dt):
+    # sum_i alpha_{k,i} p(t0 + i dt) = p'(t0) in exact rational arithmetic
+    # for every p of degree <= k, and t^(k+1) is the first monomial missed
+    alphas = compute_coeffs(k).scaled_alphas
+    c = coeffs[: k + 1]
+
+    def poly(t):
+        return sum(ci * t**j for j, ci in enumerate(c))
+
+    derivative = sum(j * ci * t0 ** (j - 1) for j, ci in enumerate(c) if j)
+    assert sum(a * poly(t0 + i * dt) for i, a in enumerate(alphas)) / dt == derivative
+    assert sum(a * Fraction(i) ** (k + 1) for i, a in enumerate(alphas)) != 0

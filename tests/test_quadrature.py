@@ -215,3 +215,12 @@ def test_tensor_moments_are_exact(case):
         assert abs(got) <= 1e-12 * scale
     else:
         assert got == pytest.approx(exact, rel=1e-10)
+
+
+def test_extreme_node_is_computed_once():
+    # the nodes are frozen, so the extreme one is computed on the first
+    # read and every later read returns that same object
+    for L in (1, 8, 64):
+        rule = hermite_rule(L)
+        assert rule.max_abs_node is rule.max_abs_node
+        assert rule.max_abs_node == float(np.max(np.abs(rule.nodes)))

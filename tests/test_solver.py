@@ -99,10 +99,12 @@ def test_config_validation():
             SolverConfig(k=1, N=16, h=h)
     with pytest.raises(ConfigError):
         SolverConfig(k=1, N=16, eps0=0.0)
-    with pytest.raises(ConfigError, match="max_outer"):
-        SolverConfig(k=1, N=16, max_outer=0)
     with pytest.raises(ConfigError):
         SolverConfig(k=1, N=16, terminal_mode="magic")
+    # the outer-pass budget is the module constant solver.MAX_OUTER, not a field
+    assert len(dataclasses.fields(SolverConfig)) == 7
+    with pytest.raises(TypeError):
+        SolverConfig(k=2, N=8, max_outer=6)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -360,7 +362,7 @@ def test_coupled_levels_stop_at_a_fraction_of_the_local_error(caplog):
     config = SolverConfig(k=2, N=32)
     assert _unconverged_warnings(caplog, registry_get("ex55"), config) == []
     stats = solve(registry_get("ex55"), config).picard_stats
-    assert stats.max_iterations < config.max_outer
+    assert stats.max_iterations < solver.MAX_OUTER
     assert stats.mean_iterations <= 3.5
 
 
@@ -651,7 +653,7 @@ def test_dead_rows_stay_out_of_the_residual(monkeypatch):
 
 
 def _shrunk_bounds(factor):
-    """A discretize whose record's bounds, and live levels, are ``factor`` times the probed ones."""
+    """A discretize whose record's bounds, and the live boxes they grow, are ``factor`` times the probed ones."""
 
     def shrunk(problem, config):
         disc = discretize(problem, config)
@@ -660,7 +662,9 @@ def _shrunk_bounds(factor):
             b_bound, s_bound, problem.T / config.N, disc.rule.max_abs_node, disc.spec.h, disc.r
         )
         first = solver._first_live_levels(disc.window, disc.r, cone)
-        return dataclasses.replace(disc, b_bound=b_bound, s_bound=s_bound, first_live=first)
+        return dataclasses.replace(
+            disc, b_bound=b_bound, s_bound=s_bound, cone=cone, first_live=first
+        )
 
     return shrunk
 
@@ -724,12 +728,30 @@ def test_fan_past_the_hull_fails_loudly(monkeypatch):
     # the safe mask is the one hull guard: a fan it lets through past the
     # hull must reach the interpolator's domain check, not be clamped onto
     # the hull edge and solved silently
-    def all_safe(self, dt, b_n, sig_n):
+    def all_safe(self, level, dt, b_n, sig_n):
         return np.ones(self.disc.X.shape[0], dtype=bool)
 
     monkeypatch.setattr(solver._LevelWorkspace, "_safe_mask", all_safe)
     with pytest.raises(OutOfDomainError):
         solve(EX51, SolverConfig(k=2, N=8))
+
+
+def test_fan_past_the_hull_from_the_answers_stencil_fails_typed():
+    # sigma is 0.2 at the probe times 0, T/2 and T but 5.2 at T/8: the
+    # window sized from the probed bounds cannot hold the fans of the
+    # answer's own stencil, which fails typed at its level and point, and
+    # the study records the cell as DIVERGED instead of stopping
+    from fbsde_multistep import bench
+
+    spiky = dataclasses.replace(
+        EX51, name="spiky",
+        sigma=lambda t, X, Y, Z: (0.2 + 5 * np.sin(4 * np.pi * t) ** 2) * np.ones((X.shape[0], 1, 1)),
+    )
+    with pytest.raises(OutOfDomainError, match=r"level \d+, point \[") as info:
+        solve(spiky, SolverConfig(k=2, N=16))
+    assert "b_bound=[" in str(info.value) and "s_bound=[0.3]" in str(info.value)
+    cell = bench._run_cell(spiky, 2, 16, bench.RunSpec(problem="ex51", ks=(2,), Ns=(16,)))
+    assert cell.diverged and cell.err_y is None
 
 
 def test_one_gather_per_level_and_step(monkeypatch):
@@ -754,8 +776,9 @@ def test_one_gather_per_level_and_step(monkeypatch):
     assert calls == {"expect": config.N - config.k, "interp": 29}
 
 
-def test_max_outer_bounds_sweep_and_bootstrap_levels():
-    config = SolverConfig(k=2, N=8, max_outer=1, terminal_mode="bootstrap")
+def test_max_outer_bounds_sweep_and_bootstrap_levels(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_OUTER", 1)
+    config = SolverConfig(k=2, N=8, terminal_mode="bootstrap")
     calls, result = _grid_b_calls(registry_get("ex54a"), config)
     substeps = solver._bootstrap_substeps(config.N, config.k)
     # one b call per sweep level and per sub-level of the fine and the
@@ -844,11 +867,13 @@ def test_outer_iterates_accepted_unconverged_warn_once(caplog):
     assert _unconverged_warnings(caplog, EX51, SolverConfig(k=2, N=16)) == []
 
 
-def test_bootstrap_sub_levels_accepted_unconverged_warn(caplog):
-    config = SolverConfig(k=1, N=8, r=6, terminal_mode="bootstrap", max_outer=4)
+def test_bootstrap_sub_levels_accepted_unconverged_warn(monkeypatch, caplog):
+    monkeypatch.setattr(solver, "MAX_OUTER", 4)
+    config = SolverConfig(k=1, N=8, r=6, terminal_mode="bootstrap")
     warned = _unconverged_warnings(caplog, registry_get("ex54b"), config)
     assert len(warned) == 1
     assert "3 of 3 bootstrap sub-levels" in warned[0]
+    assert "when the MAX_OUTER budget of 4 passes ran out" in warned[0]
 
 
 def test_coupled_outer_counts_small():
@@ -1107,12 +1132,19 @@ def test_degree_choice_is_recorded():
     # the least degree within the margin of the cheapest one
     within = [r for r, w in disc.degree_work if w <= solver.WORK_MARGIN * min(work.values())]
     assert disc.r == within[0] == 8
-    # a kinked terminal function, q = 2 and a given h keep the brackets;
-    # a given r is used as it is
+    # q = 2 is scanned too, each degree priced at (r+1)^2 stencil entries
+    # per query: the least work is r = 6 at k <= 3
+    ex53 = registry_get("ex53_2d")
+    for k in (1, 2, 3):
+        disc = discretize(ex53, SolverConfig(k=k, N=16))
+        assert tuple(r for r, _ in disc.degree_work) == solver.DEGREE_CANDIDATES
+        assert disc.r == 6
+        assert disc.fan_work == disc.X.shape[0] * disc.rule.L**ex53.d * (disc.r + 1) ** 2
+    # a kinked terminal function and a given h keep the brackets; a given r
+    # is used as it is
     for problem, config, bracket in [
         (registry_get("ex52_bs"), SolverConfig(k=3, N=64), 6),
         (registry_get("ex52_bs"), SolverConfig(k=4, N=64), 10),
-        (registry_get("ex53_2d"), SolverConfig(k=3, N=16), 6),
         (EX51, SolverConfig(k=3, N=64, h=0.2), 6),
     ]:
         disc = discretize(problem, config)
@@ -1272,7 +1304,7 @@ def test_plans_past_the_cap_are_not_stored(monkeypatch, L, stores):
     X = disc.X
     coeffs = (HEAT_D2.b(t, X, None, None), HEAT_D2.sigma(t, X, None, None))
     entries = (
-        config.k * int(ws._safe_mask(dt, *coeffs).sum()) * L**2 * (disc.r + 1)
+        config.k * int(ws._safe_mask(config.N // 2, dt, *coeffs).sum()) * L**2 * (disc.r + 1)
     )
     assert (entries <= solver.MAX_PLAN_ENTRIES) == stores
     reused, built = _solve_recording_plans(monkeypatch, HEAT_D2, config)
@@ -1434,8 +1466,9 @@ def _scripted_level(monkeypatch, offsets, profile=lambda X: 1.0):
     """One coupled level with pass m's Y image moved by offsets[m], iterated plainly (v = g).
 
     The level is the top sweep level of the coupled-flagged linear problem
-    at k = 2, N = 8, from exact seeds: every pass has the same exact image
-    and the warm start is exact, so pass 0's residual is offsets[0] and pass
+    at k = 2, N = 8, from exact seeds: every pass has the same exact image,
+    the warm start and the band rows (the level above's, as the solution
+    does not move in t) are exact, so pass 0's residual is offsets[0] and pass
     m's |offsets[m] - offsets[m-1]|; each safe row's move is scaled by
     ``profile`` of its point.  Returns the workspace and the config.
     """
@@ -1452,7 +1485,7 @@ def _scripted_level(monkeypatch, offsets, profile=lambda X: 1.0):
     problem, config = linear_problem(coupled=True), SolverConfig(k=2, N=8)
     disc = discretize(problem, config)
     fields, _ = init_terminal(problem, config, disc)
-    ws = solver._LevelWorkspace(problem, disc, solver.compute_coeffs(2), config, band_exact=True)
+    ws = solver._LevelWorkspace(problem, disc, solver.compute_coeffs(2), config)
     dt, n = problem.T / config.N, config.N - config.k - 1
     ws.step(n, n * dt, dt, {j: fields[n + j] for j in (1, 2, 3)})
     return ws, config
@@ -1465,13 +1498,13 @@ def test_level_without_contraction_never_exits_early(monkeypatch, caplog):
     # about with that rate
     c = 1e-3  # far above the level tolerance 0.01 * (1/8)^3 = 1.95e-5
     ws, config = _scripted_level(monkeypatch, [8 * c, 6 * c, 9 * c, 5 * c, 10 * c, 4 * c])
-    assert ws.picard_counts == [config.max_outer]
+    assert ws.picard_counts == [solver.MAX_OUTER]
     ((residual, tol, rate, span),) = ws.unconverged
     # the rate over the last three passes, (6c / 3c)^(1/3)
     assert residual == pytest.approx(6 * c) and rate == pytest.approx(2.0 ** (1 / 3))
     assert span == 3
     with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
-        solver._warn_unconverged(config, ws, None)
+        solver._warn_unconverged(ws, None)
     (warned,) = [r.getMessage() for r in caplog.records]
     assert warned.startswith("1 of 1 sweep levels")
     assert "residual >= the level tolerance (worst 0.006 against 1.95e-05)" in warned
@@ -1486,12 +1519,12 @@ def test_cycling_level_reports_rate_one_wherever_the_budget_cuts(monkeypatch, ca
     # the tolerance.
     c = 1e-3
     ws, config = _scripted_level(monkeypatch, [6 * c, 3 * c, 5 * c, c, 4 * c, 6 * c])
-    assert ws.picard_counts == [config.max_outer]
+    assert ws.picard_counts == [solver.MAX_OUTER]
     ((residual, _, rate, span),) = ws.unconverged
     assert residual == pytest.approx(2 * c)
     assert rate == pytest.approx(1.0) and span == 3
     with caplog.at_level("WARNING", logger="fbsde_multistep.solver"):
-        solver._warn_unconverged(config, ws, None)
+        solver._warn_unconverged(ws, None)
     (warned,) = [r.getMessage() for r in caplog.records]
     assert warned.endswith("that level's contraction rate was 1 per pass over its last 3 passes")
 
