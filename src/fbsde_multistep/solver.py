@@ -560,17 +560,19 @@ class _LevelWorkspace:
 
     A level's outer iterate, its image, band values and residual are
     (n, p + p*d) row arrays [y | z], the layout of the Broyden accelerator
-    and of every stored field, whose rows the step reads as views.  It also
-    remembers the latest pass's forward coefficients (dt, b_n, sigma_n) with
-    their hull mask and, once a pass repeats them on the same rows, the
-    interpolation plan of each j's quadrature fan over each row block of
-    those rows (see :meth:`step`).
+    and of every stored field, whose rows the step reads as views.  A level
+    is :meth:`step`, an outer loop of passes; each pass is :meth:`_pass`.
+    The workspace also remembers the latest pass's forward coefficients (dt,
+    b_n, sigma_n) with their hull mask and, once a pass repeats them on the
+    same rows, the interpolation plan of each j's quadrature fan over each
+    row block of those rows (see :meth:`_pass`).
 
     With ``sweep`` (the main sweep, whose levels n = N-k-1 .. 0 read seed
     levels above N-k-1 in full) level n runs only on its live rows,
-    ``disc.first_live <= n``; ``escaped`` counts the live rows that left the
-    scheme because a fan passed the live box of a level it reads.  Under
-    exact seeding the sweep's far-field band tracks the exact solution.
+    ``disc.first_live <= n``; outside the sweep every row is live from level
+    0 on.  ``escaped`` counts the live rows that left the scheme because a
+    fan passed the live box of a level it reads.  Under exact seeding the
+    sweep's far-field band tracks the exact solution.
     """
 
     def __init__(self, problem, disc, coeffs, config, sweep=False):
@@ -588,13 +590,14 @@ class _LevelWorkspace:
         self.escaped = 0
         self._top = config.N - self.k - 1  # the top sweep level; seeds above it are read in full
         # Outside the sweep every row is live and no live box binds.
-        self._full = int(disc.first_live.max()) if sweep else 0  # every row is live from here on
+        self._first_live = disc.first_live if sweep else np.zeros_like(disc.first_live)
         # From level ceil(W / cone) - 1 on, level n+1's box holds the window,
         # W cells per side: a fan the hull keeps stays in it.
         self._hull_level = int(np.max(np.ceil(disc.window.hi / disc.cone))) - 1 if sweep else 0
         self._broyden = None
         self._coeff_key = None  # (dt, b_n, sigma_n) of the latest pass
         self._hull = None  # its hull mask
+        self._X_safe = None  # the grid points of the latest pass's scheme rows
         self._rows = None  # the stored plans' rows, or the latest streaming pass's
         self._plans = None  # (j, first row of the block) -> plan of that fan block
 
@@ -614,10 +617,8 @@ class _LevelWorkspace:
         return v
 
     def _live_rows(self, level):
-        """The rows live at ``level``, or None when every row is."""
-        if level >= self._full:
-            return None
-        return self.disc.first_live <= level
+        """The rows live at ``level``, a mask."""
+        return self._first_live <= level
 
     def _band_values(self, level, t_n, unsafe, v_next):
         """Rows [y | z] the rows off the scheme are pinned to, shape (unsafe count, p + p*d).
@@ -629,15 +630,11 @@ class _LevelWorkspace:
         ``v_next`` too, which is non-amplifying but goes stale for long
         horizons.
         """
-        if not self.band_exact:
-            return v_next[unsafe]
-        live = self._live_rows(level)
-        band = unsafe if live is None else unsafe & live
-        exact = _exact_rows(self.problem, t_n, self.disc.X[band], level, " in the far-field band")
-        if live is None:
-            return exact
         rows = v_next[unsafe]
-        rows[band[unsafe]] = exact
+        if self.band_exact:
+            band = unsafe & self._live_rows(level)
+            X = self.disc.X[band]
+            rows[band[unsafe]] = _exact_rows(self.problem, t_n, X, level, " in the far-field band")
         return rows
 
     def _safe_mask(self, level, dt, b_n, sig_n):
@@ -697,14 +694,16 @@ class _LevelWorkspace:
 
         A repeated pass whose rows lie within the store's (a low level's live
         rows, or a coupled level's narrowed ones) reads the store over the
-        store's rows and keeps its own: applying a plan costs about a
-        quarter of streaming.  Any other pass streams and drops the store; a
-        repeated pass on exactly the previous pass's rows starts a new one
-        when the plans of all k fans fit in MAX_PLAN_ENTRIES.
+        store's rows (its own, where the two are the same rows) and keeps
+        its own: applying a plan costs about a quarter of streaming.  Any
+        other pass streams and drops the store; a repeated pass on exactly
+        the previous pass's rows starts a new one when the plans of all k
+        fans fit in MAX_PLAN_ENTRIES.
         """
         rows = self._rows
         if repeated and self._plans is not None and (safe is rows or not np.any(safe & ~rows)):
-            return self._plans, rows
+            # within the store's rows, as many rows are the same rows
+            return self._plans, safe if np.count_nonzero(safe) == np.count_nonzero(rows) else rows
         self._rows, self._plans = safe, None
         if not repeated or not (safe is rows or np.array_equal(safe, rows)):
             return None, safe
@@ -724,10 +723,11 @@ class _LevelWorkspace:
         for all k fans (one call per pass unless the window is large or
         L^d is).  A block's integrand reads fan j from ``history[j]`` and
         returns node-major values (M, k, rows, p, 1 + d), Y (x) (1, dW), dW
-        carrying fan j's sqrt(2 j dt) node scaling.  With ``plans``, the
-        pass's store from :meth:`_pass_plans`, None each fan is read in one
-        interpolation call; otherwise its stored plan for the block (built
-        on first use) is applied to the field, bitwise the same values.
+        carrying fan j's sqrt(2 j dt) node scaling.  ``plans`` is the pass's
+        store from :meth:`_pass_plans`.  Where it is None, each fan is read
+        in one interpolation call; otherwise the fan's stored plan for the
+        block (built on first use) is applied to the field, bitwise the same
+        values.
         Fan j's Euler predictors are built just before it is read, and only
         when it is read without a plan, so one fan's are alive at a time.
         """
@@ -784,38 +784,21 @@ class _LevelWorkspace:
             point=X[worst[0]],
         )
 
-    def step(self, level, t_n, dt, history):
-        """One backward level: outer passes rebuilding the forward predictors.
+    def _pass(self, level, t_n, dt, history, v, safe=None):
+        """One Scheme-5 pass: Euler predictors at the iterate ``v``, explicit Z, implicit Y.
 
-        Each pass evaluates the Scheme-5 update (Euler predictors at the
-        current (Y, Z) iterate, explicit Z, implicit Y).  A decoupled problem
-        gets one pass, since its predictors do not depend on the iterate.  A
-        coupled one feeds each image to a per-point Broyden accelerator and
-        stops once the residual max(|dY|, |dZ|) falls below
-        max(eps0, OUTER_TOL_FRACTION * dt^(k+1)), a small fraction of the
-        scheme's local error, as implicit ODE codes stop their Newton
-        iteration (Hairer & Wanner, Solving ODEs II, IV.8); a residual
-        above both the first pass's and that tolerance is a divergence.
-        From the second pass on, the contraction rate theta = delta_m /
-        delta_(m-1), the latest residual max over the one before, completes
-        that rule: a level whose theta < 1 and theta / (1 - theta) * delta
-        falls below the tolerance also stops, as converged.  It returns one
-        more Broyden step from its iterate (band rows pinned), the iterate
-        whose error the rule predicts, rather than the image g, whose
-        residual can still be far above the tolerance there.
-        ``history[j]`` is the field of level ``level + j`` for j = 1..k and
-        up to j = 4; the warm start is the time extrapolation of degree
-        min(3, len(history) - 1) through the newest levels
-        (PREDICTOR_WEIGHTS), so the implicit-Y Picard iteration, which keeps
-        eps0, also starts closer.  The iterate v and its image g are
-        [y | z] rows; b, sigma and f read Y and Z as views of them.
+        b and sigma read (Y, Z) from ``v``, [y | z] rows over the window, and
+        the implicit Y starts from ``v``; ``history[j]`` is the field of level
+        ``level + j``.  It returns the image [y | z] on the scheme rows, those
+        rows (a mask) and the implicit-Y Picard count.
 
-        The scheme runs on the safe rows: the live rows whose fans stay
-        inside the hull and, under ``sweep``, inside the live box of every
-        sweep level they read.  Live rows off the scheme take band values,
-        and a row whose fan passed a live box counts in ``escaped``.  Dead
-        rows keep ``v_next``; they are pinned in the iterate from the first
-        pass, so they never enter the residual, theta or Broyden.
+        The scheme rows are the live rows whose fans stay inside the hull
+        and, under ``sweep``, inside the live box of every sweep level they
+        read.  ``safe``, the previous pass's scheme rows on the level (None
+        on its first pass), comes back as the same object unless a later
+        pass's b and sigma move a row's fan out of the hull or its live box;
+        that row leaves the scheme for the rest of the level.  A row whose
+        fan passed a live box counts in ``escaped``.
 
         A pass whose (dt, b_n, sigma_n) equal in value those of the
         workspace's previous pass (a level of a problem whose forward
@@ -832,59 +815,79 @@ class _LevelWorkspace:
         """
         problem, X = self.problem, self.disc.X
         n, p, d = X.shape[0], problem.p, problem.d
+        y_cur, z_cur = v[:, :p], v[:, p:].reshape(n, p, d)
+        b_n = np.asarray(problem.b(t_n, X, y_cur, z_cur), dtype=float)
+        sig_n = np.asarray(problem.sigma(t_n, X, y_cur, z_cur), dtype=float)
+        key, prev = (dt, b_n, sig_n), self._coeff_key
+        repeated = prev is not None and all(map(np.array_equal, key, prev))
+        if not repeated:
+            _require_finite([b_n, sig_n], X, "b or sigma", level)
+            self._coeff_key, self._hull = key, self._safe_mask(level, *key)
+        mask = self._hull & self._live_rows(level)
+        box = self._box_mask(level, dt, b_n, sig_n)
+        if box is not None:
+            # rows still in the scheme that only the box rule removes
+            self.escaped += int(np.count_nonzero((mask if safe is None else safe) & ~box))
+            mask &= box
+        if safe is None or np.any(safe & ~mask):
+            safe = mask if safe is None else safe & mask
+            self._X_safe = X[safe]
+        plans, rows = self._pass_plans(repeated, safe)
+        X_rows = self._X_safe if rows is safe else X[rows]
+        EY, EYW = self._expectations(dt, X_rows, b_n[rows], sig_n[rows], history, plans)
+        if rows is not safe:  # a stored plan's rows around this pass's; compress keeps EY C-ordered
+            EY, EYW = (np.compress(safe[rows], E, axis=1) for E in (EY, EYW))
+        alpha = self.coeffs.alphas(dt)
+        z_safe = np.einsum("j,jnpd->npd", alpha[1:], EYW)
+        rhs = -np.einsum("j,jnp->np", alpha[1:], EY)
+        y_safe, iters = self._implicit_y(t_n, self._X_safe, rhs, z_safe, v[safe, :p], alpha[0], level)
+        return np.concatenate([y_safe, z_safe.reshape(len(y_safe), -1)], 1), safe, iters
+
+    def step(self, level, t_n, dt, history):
+        """One backward level: outer passes (:meth:`_pass`) rebuilding the forward predictors.
+
+        A decoupled problem gets one pass, since its predictors do not
+        depend on the iterate.  A coupled one feeds each image to a per-point
+        Broyden accelerator and stops once the residual max(|dY|, |dZ|) falls
+        below max(eps0, OUTER_TOL_FRACTION * dt^(k+1)), a small fraction of
+        the scheme's local error, as implicit ODE codes stop their Newton
+        iteration (Hairer & Wanner, Solving ODEs II, IV.8); a residual
+        above both the first pass's and that tolerance is a divergence.
+        From the second pass on, the contraction rate theta = delta_m /
+        delta_(m-1) completes that rule: a level whose theta < 1 and
+        theta / (1 - theta) * delta falls below the tolerance also stops, as
+        converged, and returns one more Broyden step from its iterate (band
+        rows pinned), the iterate whose error the rule predicts, rather than
+        the image g.  ``history[j]`` is the field of level ``level + j`` for
+        j = 1..k and up to j = 4; the warm start is the time extrapolation
+        of degree min(3, len(history) - 1) through the newest levels
+        (PREDICTOR_WEIGHTS).  The iterate v and its image g are [y | z]
+        rows.  Rows off the scheme take band values (:meth:`_band_values`):
+        dead rows are pinned in the iterate from the first pass, so they
+        never enter the residual, theta or Broyden, and live band rows from
+        the second.
+        """
+        problem, X = self.problem, self.disc.X
+        n, p = X.shape[0], problem.p
         v_next = history[1].values.reshape(n, -1)
         # The Picard limit does not depend on the start, only the count does:
         # the cubic extrapolation in time beats the plain warm start by three
         # orders in dt.
         v = self._warm_start(history, v_next)
-        live = self._live_rows(level)
-        if live is not None and v is not v_next:
-            np.copyto(v, v_next, where=~live[:, None])
+        if v is not v_next:
+            np.copyto(v, v_next, where=~self._live_rows(level)[:, None])
         tol = max(self.eps0, OUTER_TOL_FRACTION * dt ** (self.k + 1))
-        alpha = self.coeffs.alphas(dt)
         if self._broyden is not None:
             self._broyden.new_level()
-        safe = None
-        deltas = []
-        g = np.empty_like(v)
+        safe, deltas, g = None, [], np.empty_like(v)
         for outer in range(self.max_outer):
-            y_cur, z_cur = v[:, :p], v[:, p:].reshape(n, p, d)
-            b_n = np.asarray(problem.b(t_n, X, y_cur, z_cur), dtype=float)
-            sig_n = np.asarray(problem.sigma(t_n, X, y_cur, z_cur), dtype=float)
-            # A coupled level's later pass re-evaluates b and sigma, which can
-            # move a safe row's fan out of the hull or its live box: the row
-            # then joins the band for the rest of the level, its iterate
-            # pinned to the band value.
-            key, prev = (dt, b_n, sig_n), self._coeff_key
-            repeated = prev is not None and all(map(np.array_equal, key, prev))
-            if not repeated:
-                _require_finite([b_n, sig_n], X, "b or sigma", level)
-                self._coeff_key, self._hull = key, self._safe_mask(level, *key)
-            mask = self._hull if live is None else self._hull & live
-            box = self._box_mask(level, dt, b_n, sig_n)
-            if box is not None:
-                # rows still in the scheme that only the box rule removes
-                self.escaped += int(np.count_nonzero((mask if safe is None else safe) & ~box))
-                mask = mask & box
-            if safe is None or np.any(safe & ~mask):
-                safe = mask if safe is None else safe & mask
-                unsafe = ~safe
-                X_safe = X[safe]
+            image, rows, iters = self._pass(level, t_n, dt, history, v, safe)
+            if rows is not safe:  # the level's first scheme rows, or narrowed ones: the rest take band values
+                safe, unsafe = rows, ~rows
                 band = self._band_values(level, t_n, unsafe, v_next)
-                if outer > 0:
+                if outer > 0:  # the first pass's residual includes the band rows
                     v[unsafe] = band
-            plans, rows = self._pass_plans(repeated, safe)
-            if rows is safe:
-                EY, EYW = self._expectations(dt, X_safe, b_n[safe], sig_n[safe], history, plans)
-            else:  # a stored plan's rows around this pass's; compress keeps EY C-ordered
-                EY, EYW = self._expectations(dt, X[rows], b_n[rows], sig_n[rows], history, plans)
-                EY, EYW = (np.compress(safe[rows], E, axis=1) for E in (EY, EYW))
-            z_safe = np.einsum("j,jnpd->npd", alpha[1:], EYW)
-            rhs = -np.einsum("j,jnp->np", alpha[1:], EY)
-            y_safe, iters = self._implicit_y(
-                t_n, X_safe, rhs, z_safe, v[safe, :p], alpha[0], level
-            )
-            g[safe, :p], g[safe, p:] = y_safe, z_safe.reshape(len(X_safe), p * d)
+            g[safe] = image
             g[unsafe] = band
             # For plain iteration |v_{l+1} - v_l| equals the residual
             # |G(v_l) - v_l|, so the residual is the faithful reading of the
@@ -898,28 +901,23 @@ class _LevelWorkspace:
             if theta is not None and theta < 1.0 and delta >= tol > theta / (1.0 - theta) * delta:
                 v = self._broyden.step(v, g)
                 v[unsafe] = band
-                self.picard_counts.append(outer + 1)
-                return self.disc.field(level, v)
+                break
             if delta < tol or outer + 1 == self.max_outer:
-                if delta > max(deltas[0], tol):
-                    break  # residual grew: report divergence below
-                if problem.coupled:
-                    self.picard_counts.append(outer + 1)
-                    if delta >= tol:
-                        self.unconverged.append((delta, tol, *_contraction_rate(deltas)))
-                else:
-                    self.picard_counts.append(iters)
-                return self.disc.field(level, g)
+                if delta > max(deltas[0], tol):  # the residual grew: a divergence
+                    worst = X[np.argmax(res[:, :p]) // p]  # the worst Y row
+                    raise PicardDivergenceError(
+                        f"coupled Picard iteration stuck at level {level}, point {worst}",
+                        level=level, point=worst)
+                if problem.coupled and delta >= tol:
+                    self.unconverged.append((delta, tol, *_contraction_rate(deltas)))
+                v = g
+                break
             if self._broyden is None:
                 self._broyden = _BroydenState(n, v.shape[1])
             v = self._broyden.step(v, g)
             v[unsafe] = band
-        worst = X[np.argmax(res[:, :p]) // p]  # the worst Y row
-        raise PicardDivergenceError(
-            f"coupled Picard iteration stuck at level {level}, point {worst}",
-            level=level,
-            point=worst,
-        )
+        self.picard_counts.append(outer + 1 if problem.coupled else iters)
+        return self.disc.field(level, v)
 
 
 def _bootstrap_substeps(N, k):

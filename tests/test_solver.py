@@ -589,8 +589,6 @@ def _solve_with_dead_rows(monkeypatch, problem, config, fill=None):
     def overwriting(self, level, *args):
         field = step(self, level, *args)
         live = self._live_rows(level)
-        if live is None:
-            return field
         dead[0] += int(np.count_nonzero(~live))
         if fill is None:
             return field
@@ -636,12 +634,12 @@ def test_dead_rows_stay_out_of_the_residual(monkeypatch):
     current, checked = {}, []
 
     def recorded_step(self, level, *args):
-        current["dead"] = None if self._live_rows(level) is None else ~self._live_rows(level)
+        current["dead"] = ~self._live_rows(level)
         return step(self, level, *args)
 
     def checked_broyden(self, v, g):
         dead = current["dead"]
-        if dead is not None and dead.any():
+        if dead.any():
             np.testing.assert_array_equal(g[dead], v[dead])
             checked.append(int(dead.sum()))
         return broyden(self, v, g)
@@ -1385,8 +1383,7 @@ def _check_fused_passes(monkeypatch):
     def checked(self, dt, X, b_n, sig_n, history, plans):
         calls[0] = 0
         EY, EYW = _FUSED_EXPECTATIONS(self, dt, X, b_n, sig_n, history, plans)
-        live = self._live_rows(levels[-1])
-        pruned = live is not None and bool(np.any(self._hull & ~live))
+        pruned = bool(np.any(self._hull & ~self._live_rows(levels[-1])))
         passes.append((plans is not None, calls[0], pruned))
         ref_EY, ref_EYW = _per_fan_expectations(self, dt, X, b_n, sig_n, history)
         np.testing.assert_array_equal(EY, ref_EY)
